@@ -3,15 +3,13 @@
 // SP-maintenance structures — the "more sophisticated detector" whose
 // bounds the paper's abstract says improve correspondingly with SP-order.
 //
-// Since the streaming refactor this is a one-line client: the walker and
-// session plumbing are shared with the determinacy detector
-// (race/detector.hpp), and the protocol — per (stream, location) a
+// It shares the determinacy detector's serial walk (race/detector.hpp)
+// and swaps in the ALL-SETS protocol of the sharded shadow layer,
+// stream::AllSetsShadow (race/stream/shadow_shards.hpp): per location a
 // pruned history of (lockset, writer?) entries, each remembering the
-// most recent thread and a sticky parallel one — lives in the sharded
-// shadow layer as stream::AllSetsShadow
-// (race/stream/shadow_shards.hpp). An access races with a history entry
-// iff at least one side writes, the locksets are disjoint, and the
-// threads are parallel.
+// most recent thread and a sticky parallel one. An access races with a
+// history entry iff at least one side writes, the locksets are disjoint,
+// and the threads are parallel.
 
 #include "race/detector.hpp"
 #include "race/stream/shadow_shards.hpp"
@@ -23,7 +21,7 @@ namespace spr::race {
 /// SP-maintenance backend `algo`.
 template <typename SpAlgo>
 inline RaceReport detect_lock_races(const tree::ParseTree& t, SpAlgo& algo) {
-  return detail::detect_via_stream<stream::AllSetsShadow>(t, algo);
+  return detail::detect<stream::AllSetsShadow>(t, algo);
 }
 
 }  // namespace spr::race

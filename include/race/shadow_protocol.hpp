@@ -1,11 +1,12 @@
 #pragma once
 // The determinacy-race shadow protocol (Corollary 6), shared verbatim by
-// every consumer: the serial thin-client detector (race/detector.hpp),
+// every consumer: the serial in-process detector (race/detector.hpp),
 // the SP-hybrid engine's parallel detection (sphybrid/worker.hpp), and
-// the streaming service's sharded SoA shadow memory
-// (race/stream/shadow_shards.hpp). One definition, so the rule the
-// completeness test certifies (tests/race_completeness_test.cpp) is the
-// rule every deployment runs.
+// the streaming service, all three over the sharded AoS shadow table
+// (race/stream/shadow_shards.hpp), plus the kSerialReference oracle's
+// ShadowMemory below. One definition, so the rule the completeness test
+// certifies (tests/race_completeness_test.cpp) is the rule every
+// deployment runs.
 //
 // Shadow state (per location): the last writer plus two readers — the
 // most recent reader and a sticky reader kept from an earlier parallel
@@ -43,15 +44,27 @@ class ShadowMemory {
   std::unordered_map<std::uint64_t, ShadowCell> cells_;
 };
 
+/// The serial test shadow_apply expects, over an SP algorithm `sp`:
+/// "no thread" and u == v are serial without a query; any other pair
+/// counts one query in `queries` and asks `sp.precedes(u, v)`. This is
+/// what RaceReport::queries counts in every deployment that reports it.
+template <typename Sp>
+inline auto counted_serial(Sp& sp, std::uint64_t& queries) {
+  return [&sp, &queries](tree::ThreadId u, tree::ThreadId v) {
+    if (u == tree::kNoThread || u == v) return true;
+    ++queries;
+    return sp.precedes(u, v);
+  };
+}
+
 /// Applies one access by thread `v` to a shadow cell, bumping
 /// `race_count` per conflicting parallel accessor. `serial(u, v)` must
 /// return whether u is serial with v (treating "no thread" and u == v as
-/// serial). `Cell` is anything with writer/reader1/reader2 thread-id
-/// members — the AoS ShadowCell above or the streaming service's SoA
-/// column reference — so the protocol cannot diverge between layouts.
-template <typename Cell, typename SerialFn>
-inline void shadow_apply(Cell& c, const tree::Access& a, tree::ThreadId v,
-                         SerialFn&& serial, std::uint64_t& race_count) {
+/// serial).
+template <typename SerialFn>
+inline void shadow_apply(ShadowCell& c, const tree::Access& a,
+                         tree::ThreadId v, SerialFn&& serial,
+                         std::uint64_t& race_count) {
   if (a.write) {
     if (!serial(c.writer, v)) ++race_count;
     if (!serial(c.reader1, v)) ++race_count;

@@ -14,18 +14,21 @@
 // per-stream mutex — a second client of the same stream serializes, it
 // does not corrupt), any number of streams in parallel. Per-stream SP
 // state is only ever mutated by its submitter; the sharded shadow memory
-// (race/stream/shadow_shards.hpp) is the one cross-stream structure and
-// carries per-shard locks. Verdicts are deterministic: they depend only
-// on each stream's own event order, never on cross-stream interleaving —
-// the mc shard-contention scenario checks exactly this.
+// (race/stream/shadow_shards.hpp, the same layer the in-process
+// detectors run) is the one cross-stream structure and carries per-shard
+// locks. Verdicts are deterministic: they depend only on each stream's
+// own event order, never on cross-stream interleaving — the mc
+// shard-contention scenarios check exactly this.
 //
-// Validation: every batch is trial-run against the stream's trace
-// grammar BEFORE any of it is applied, so a rejected batch leaves the
-// stream byte-identical (atomic reject) and the client can repair and
-// resubmit the same epoch.
+// Validation: this is the untrusted path. Every batch is trial-run
+// against the stream's trace grammar BEFORE any of it is applied, so a
+// rejected batch leaves the stream byte-identical (atomic reject) and the
+// client can repair and resubmit the same epoch. Trusted in-process
+// walks skip this layer entirely (race/detector.hpp).
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -159,11 +162,12 @@ class Service {
     return st->rep;
   }
 
-  const Sp& sp(StreamId s) const { return stream(s)->sp; }
-
-  std::uint32_t shard_count() const { return shadow_.shard_count(); }
-  std::uint32_t shard_of(std::uint64_t loc) const {
-    return shadow_.shard_of(loc);
+  /// The stream's SP engine; throws std::out_of_range for an id that was
+  /// never opened.
+  const Sp& sp(StreamId s) const {
+    StreamState* st = stream(s);
+    if (st == nullptr) throw std::out_of_range("unknown stream id");
+    return st->sp;
   }
 
   std::size_t memory_bytes() const {
@@ -194,11 +198,7 @@ class Service {
   }
 
   void apply(const Batch& b, StreamState& st) {
-    const auto serial = [&st](tree::ThreadId u, tree::ThreadId v) {
-      if (u == tree::kNoThread || u == v) return true;
-      ++st.rep.races.queries;
-      return st.sp.precedes(u, v);
-    };
+    const auto serial = counted_serial(st.sp, st.rep.races.queries);
     for (const Event& e : b.events) {
       switch (e.kind) {
         case EventKind::kFork:

@@ -1,31 +1,36 @@
 #pragma once
-// Sharded shadow memory for the streaming race-detection service.
-// Locations hash-partition across a power-of-two number of shards; each
-// shard is guarded by a spr::mutex (the atomics-policy type, so the
-// systematic concurrency checker can drive the locking — see
-// tests/mc_test.cpp's shard-contention scenario) and owns its cells
-// outright, so concurrent client streams only contend when their
-// locations collide on a shard.
+// Sharded shadow memory: the one shadow layer every deployment runs — the
+// in-process detectors (race/detector.hpp, race/allsets.hpp), the
+// streaming service (race/stream/service.hpp) and the SP-hybrid workers
+// (sphybrid/worker.hpp).
 //
-// DeterminacyShadow keeps its cells in SoA columns (keys, writer,
-// reader1, reader2 as parallel arrays) in an open-addressed table whose
-// storage comes from a per-shard util::Arena: the access hot path is one
-// hash probe over a dense key column plus three column writes — no
-// per-cell allocation, no pointer chasing, and the whole shard frees in
-// O(#chunks). Cells are keyed by (stream, location): streams are
-// independent programs that share shard infrastructure, never verdicts.
+// ShadowTable<Cell> is an open-addressed, linear-probing array of structs
+// {loc, stream, cell}: one probe touches one slot, and a cell's whole
+// state shares that slot's cache line. The table allocates nothing until
+// its first insert and frees the old array when it doubles. Cells are
+// keyed by (stream, location): streams are independent programs that
+// share the shard infrastructure, never verdicts.
 //
-// AllSetsShadow is the lock-aware ALL-SETS protocol (Cheng et al.) over
-// the same sharding: per (stream, location) a pruned history of
-// (lockset, writer?) entries — each remembering the most recent and one
-// sticky parallel thread, mirroring the determinacy protocol — with the
-// entries themselves drawn from a per-shard free-list pool.
+// ShardedShadow<Protocol> hash-partitions locations across a power-of-two
+// number of shards, each a ShadowTable plus any per-shard protocol state
+// behind a spr::mutex (the atomics-policy type, so the model checker can
+// drive the locking — see tests/mc_test.cpp's shard-contention
+// scenarios). The shard comes from the high bits of mix64(loc) and the
+// slot from the low bits of cell_hash(stream, loc), so the keys of one
+// shard still spread over all of its slots.
+//
+// The two protocols:
+//   DeterminacyShadow - the writer + two-reader rule of
+//                       race/shadow_protocol.hpp, one ShadowCell per key.
+//   AllSetsShadow     - ALL-SETS (Cheng et al.): per key a pruned history
+//                       of (lockset, writer?) entries, each remembering
+//                       the most recent and one sticky parallel thread,
+//                       drawn from a per-shard free-list pool.
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
-#include <vector>
+#include <utility>
 
 #include "race/shadow_protocol.hpp"
 #include "race/stream/event.hpp"
@@ -50,93 +55,63 @@ inline std::uint64_t cell_hash(StreamId s, std::uint64_t loc) {
   return mix64(loc ^ (static_cast<std::uint64_t>(s) << 32));
 }
 
-inline std::uint32_t round_up_pow2(std::uint32_t x) {
-  std::uint32_t p = 1;
-  while (p < x) p <<= 1;
-  return p;
-}
+}  // namespace detail
 
-/// Reference to one logical cell held in SoA columns, shaped so
-/// race::shadow_apply runs on it unchanged.
-struct SoaCellRef {
-  tree::ThreadId& writer;
-  tree::ThreadId& reader1;
-  tree::ThreadId& reader2;
-};
-
-/// Open-addressed (linear probing) SoA table keyed by (stream, loc);
-/// arrays live in the owning arena and grow by doubling + rehash.
-class SoaShadowTable {
+/// Open-addressed AoS table keyed by (stream, loc). Grows by doubling at
+/// 3/4 load; the superseded array is freed on the spot.
+template <typename Cell>
+class ShadowTable {
  public:
-  explicit SoaShadowTable(util::Arena& arena) : arena_(&arena) {}
-
-  std::size_t find_or_insert(StreamId s, std::uint64_t loc) {
+  Cell& find_or_insert(StreamId s, std::uint64_t loc) {
     if (count_ * 4 >= cap_ * 3) grow();
-    std::size_t i = cell_hash(s, loc) & (cap_ - 1);
-    while (stream_[i] != kNoStream) {
-      if (stream_[i] == s && loc_[i] == loc) return i;
+    std::size_t i = detail::cell_hash(s, loc) & (cap_ - 1);
+    while (slots_[i].stream != kNoStream) {
+      if (slots_[i].stream == s && slots_[i].loc == loc) return slots_[i].cell;
       i = (i + 1) & (cap_ - 1);
     }
-    stream_[i] = s;
-    loc_[i] = loc;
-    writer_[i] = reader1_[i] = reader2_[i] = tree::kNoThread;
+    slots_[i].stream = s;
+    slots_[i].loc = loc;
     ++count_;
-    return i;
+    return slots_[i].cell;
   }
 
-  SoaCellRef cell(std::size_t i) {
-    return SoaCellRef{writer_[i], reader1_[i], reader2_[i]};
-  }
-
-  std::size_t size() const { return count_; }
+  std::size_t memory_bytes() const { return cap_ * sizeof(Slot); }
 
  private:
+  struct Slot {
+    std::uint64_t loc = 0;
+    StreamId stream = kNoStream;
+    Cell cell{};
+  };
+
   void grow() {
     const std::size_t ncap = cap_ == 0 ? 64 : cap_ * 2;
-    auto* nloc = arena_->alloc_array<std::uint64_t>(ncap);
-    auto* nstream = arena_->alloc_array<StreamId>(ncap);
-    auto* nwriter = arena_->alloc_array<tree::ThreadId>(ncap);
-    auto* nreader1 = arena_->alloc_array<tree::ThreadId>(ncap);
-    auto* nreader2 = arena_->alloc_array<tree::ThreadId>(ncap);
-    for (std::size_t i = 0; i < ncap; ++i) nstream[i] = kNoStream;
+    std::unique_ptr<Slot[]> next(new Slot[ncap]);
     for (std::size_t i = 0; i < cap_; ++i) {
-      if (stream_[i] == kNoStream) continue;
-      std::size_t j = cell_hash(stream_[i], loc_[i]) & (ncap - 1);
-      while (nstream[j] != kNoStream) j = (j + 1) & (ncap - 1);
-      nloc[j] = loc_[i];
-      nstream[j] = stream_[i];
-      nwriter[j] = writer_[i];
-      nreader1[j] = reader1_[i];
-      nreader2[j] = reader2_[i];
+      const Slot& old = slots_[i];
+      if (old.stream == kNoStream) continue;
+      std::size_t j = detail::cell_hash(old.stream, old.loc) & (ncap - 1);
+      while (next[j].stream != kNoStream) j = (j + 1) & (ncap - 1);
+      next[j] = old;
     }
-    loc_ = nloc;
-    stream_ = nstream;
-    writer_ = nwriter;
-    reader1_ = nreader1;
-    reader2_ = nreader2;
+    slots_ = std::move(next);
     cap_ = ncap;
   }
 
-  util::Arena* arena_;
+  std::unique_ptr<Slot[]> slots_;
   std::size_t cap_ = 0;
   std::size_t count_ = 0;
-  std::uint64_t* loc_ = nullptr;
-  StreamId* stream_ = nullptr;
-  tree::ThreadId* writer_ = nullptr;
-  tree::ThreadId* reader1_ = nullptr;
-  tree::ThreadId* reader2_ = nullptr;
 };
 
-}  // namespace detail
-
-class DeterminacyShadow {
+/// One ShadowTable per shard, each under its own lock. `Protocol` names
+/// the cell type and applies one access to a cell; one Protocol object
+/// lives in each shard for whatever state the cells share (ALL-SETS'
+/// entry pool).
+template <typename Protocol>
+class ShardedShadow {
  public:
-  explicit DeterminacyShadow(std::uint32_t shards = 16)
-      : mask_(detail::round_up_pow2(shards == 0 ? 1 : shards) - 1) {
-    shards_.reserve(mask_ + 1);
-    for (std::uint32_t i = 0; i <= mask_; ++i)
-      shards_.push_back(std::make_unique<Shard>());
-  }
+  explicit ShardedShadow(std::uint32_t shards = 16)
+      : bits_(log2_ceil(shards)), shards_(new Shard[std::size_t{1} << bits_]) {}
 
   /// Applies one access under the owning shard's lock. `serial` is
   /// called for SP queries while the lock is held, which is safe because
@@ -145,62 +120,81 @@ class DeterminacyShadow {
   template <typename SerialFn>
   void apply(StreamId s, const tree::Access& a, tree::ThreadId v,
              SerialFn&& serial, std::uint64_t& race_count) {
-    Shard& sh = *shards_[shard_of(a.loc)];
+    Shard& sh = shards_[shard_of(a.loc)];
     spr::lock_guard<spr::mutex> lock(sh.mu);
-    const std::size_t i = sh.table.find_or_insert(s, a.loc);
-    detail::SoaCellRef cell = sh.table.cell(i);
-    shadow_apply(cell, a, v, serial, race_count);
+    sh.protocol.apply(sh.table.find_or_insert(s, a.loc), a, v, serial,
+                      race_count);
   }
 
   std::uint32_t shard_of(std::uint64_t loc) const {
-    return static_cast<std::uint32_t>(detail::mix64(loc)) & mask_;
-  }
-  std::uint32_t shard_count() const { return mask_ + 1; }
-
-  std::size_t cell_count() const {
-    std::size_t n = 0;
-    for (const auto& sh : shards_) n += sh->table.size();
-    return n;
+    return bits_ == 0 ? 0
+                      : static_cast<std::uint32_t>(detail::mix64(loc) >>
+                                                   (64 - bits_));
   }
 
   std::size_t memory_bytes() const {
     std::size_t n = sizeof(*this);
-    for (const auto& sh : shards_) n += sizeof(Shard) + sh->arena.memory_bytes();
+    for (std::size_t i = 0; i < shard_count(); ++i)
+      n += sizeof(Shard) + shards_[i].table.memory_bytes() +
+           shards_[i].protocol.memory_bytes();
     return n;
   }
 
  private:
-  struct Shard {
-    Shard() : table(arena) {}
+  // Cache-line aligned so workers locking neighbouring shards do not
+  // share a line.
+  struct alignas(64) Shard {
     spr::mutex mu;
-    util::Arena arena;
-    detail::SoaShadowTable table;
+    ShadowTable<typename Protocol::Cell> table;
+    Protocol protocol;
   };
 
-  std::uint32_t mask_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-};
-
-class AllSetsShadow {
- public:
-  explicit AllSetsShadow(std::uint32_t shards = 16)
-      : mask_(detail::round_up_pow2(shards == 0 ? 1 : shards) - 1) {
-    shards_.reserve(mask_ + 1);
-    for (std::uint32_t i = 0; i <= mask_; ++i)
-      shards_.push_back(std::make_unique<Shard>());
+  static std::uint32_t log2_ceil(std::uint32_t x) {
+    std::uint32_t b = 0;
+    while ((std::uint32_t{1} << b) < x) ++b;
+    return b;
   }
 
-  /// One ALL-SETS access: race-check against every entry whose lockset is
-  /// disjoint (with at least one writer side), then file the access under
-  /// its (lockset, write) key. Keying the history by (lockset, write)
-  /// bounds per-access work by the number of distinct locksets used at
-  /// the location.
+  std::size_t shard_count() const { return std::size_t{1} << bits_; }
+
+  std::uint32_t bits_;
+  std::unique_ptr<Shard[]> shards_;
+};
+
+/// The determinacy protocol: one ShadowCell per key.
+struct DeterminacyProtocol {
+  using Cell = ShadowCell;
+
   template <typename SerialFn>
-  void apply(StreamId s, const tree::Access& a, tree::ThreadId v,
-             SerialFn&& serial, std::uint64_t& race_count) {
-    Shard& sh = *shards_[shard_of(a.loc)];
-    spr::lock_guard<spr::mutex> lock(sh.mu);
-    Entry*& head = sh.histories[Key{s, a.loc}];
+  void apply(Cell& c, const tree::Access& a, tree::ThreadId v,
+             SerialFn& serial, std::uint64_t& race_count) {
+    shadow_apply(c, a, v, serial, race_count);
+  }
+  std::size_t memory_bytes() const { return 0; }
+};
+
+/// ALL-SETS: per key a list of history entries, one per (lockset, write)
+/// pair seen at the location.
+class AllSetsProtocol {
+  struct Entry {
+    std::uint64_t locks = 0;
+    bool write = false;
+    tree::ThreadId t1 = tree::kNoThread;  ///< most recent accessor
+    tree::ThreadId t2 = tree::kNoThread;  ///< sticky parallel accessor
+    Entry* next = nullptr;
+  };
+
+ public:
+  using Cell = Entry*;  ///< history head
+
+  /// Race-checks against every entry whose lockset is disjoint (with at
+  /// least one writer side), then files the access under its
+  /// (lockset, write) entry. Keying the history this way bounds
+  /// per-access work by the number of distinct locksets used at the
+  /// location.
+  template <typename SerialFn>
+  void apply(Cell& head, const tree::Access& a, tree::ThreadId v,
+             SerialFn& serial, std::uint64_t& race_count) {
     for (Entry* e = head; e != nullptr; e = e->next) {
       const bool conflicting = a.write || e->write;
       const bool unguarded = (e->locks & a.locks) == 0;
@@ -218,58 +212,21 @@ class AllSetsShadow {
       }
       return;
     }
-    Entry* fresh = sh.pool.create();
+    Entry* fresh = pool_.create();
     fresh->locks = a.locks;
     fresh->write = a.write;
     fresh->t1 = v;
-    fresh->t2 = tree::kNoThread;
     fresh->next = head;
     head = fresh;
   }
 
-  std::uint32_t shard_of(std::uint64_t loc) const {
-    return static_cast<std::uint32_t>(detail::mix64(loc)) & mask_;
-  }
-  std::uint32_t shard_count() const { return mask_ + 1; }
-
-  std::size_t memory_bytes() const {
-    std::size_t n = sizeof(*this);
-    for (const auto& sh : shards_)
-      n += sizeof(Shard) + sh->pool.memory_bytes() +
-           sh->histories.size() * (sizeof(Key) + sizeof(Entry*));
-    return n;
-  }
+  std::size_t memory_bytes() const { return pool_.memory_bytes(); }
 
  private:
-  struct Entry {
-    std::uint64_t locks = 0;
-    bool write = false;
-    tree::ThreadId t1 = tree::kNoThread;  ///< most recent accessor
-    tree::ThreadId t2 = tree::kNoThread;  ///< sticky parallel accessor
-    Entry* next = nullptr;
-  };
-
-  struct Key {
-    StreamId stream;
-    std::uint64_t loc;
-    bool operator==(const Key& o) const {
-      return stream == o.stream && loc == o.loc;
-    }
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      return static_cast<std::size_t>(detail::cell_hash(k.stream, k.loc));
-    }
-  };
-
-  struct Shard {
-    spr::mutex mu;
-    std::unordered_map<Key, Entry*, KeyHash> histories;
-    util::Pool<Entry> pool;
-  };
-
-  std::uint32_t mask_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  util::Pool<Entry> pool_;
 };
+
+using DeterminacyShadow = ShardedShadow<DeterminacyProtocol>;
+using AllSetsShadow = ShardedShadow<AllSetsProtocol>;
 
 }  // namespace spr::race::stream

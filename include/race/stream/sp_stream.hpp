@@ -9,11 +9,6 @@
 // event, Theta(1) per query (Theorems 4-5), and no requirement that the
 // client ever materializes its program. This is the DePa-style
 // "per-stream label machinery" (PAPERS.md) the service runs natively.
-//
-// ExternalSp adapts the in-process thin clients (race/detector.hpp): the
-// walker drives its own SpMaintenance backend through the tree callbacks
-// (so strictly on-the-fly backends like SP-bags stay correct), and the
-// service only routes precedes() queries back to it.
 
 #include <cstddef>
 #include <vector>
@@ -84,28 +79,6 @@ class StreamingSpOrder {
   Slot cur_;                        ///< slot of the subtree being entered
   std::vector<Slot> pending_;       ///< right-branch slots of open forks
   std::vector<Slot> thread_slots_;  ///< per thread, set at thread begin
-};
-
-/// Thin-client adapter: structural events are no-ops (the walker already
-/// advanced its backend), only queries flow through.
-template <typename SpAlgo>
-class ExternalSp {
- public:
-  explicit ExternalSp(SpAlgo& algo) : algo_(&algo) {}
-
-  void on_fork(bool) {}
-  void on_switch() {}
-  void on_join() {}
-  void on_thread_begin(tree::ThreadId) {}
-
-  bool precedes(tree::ThreadId u, tree::ThreadId v) const {
-    return algo_->precedes(u, v);
-  }
-
-  std::size_t memory_bytes() const { return sizeof(*this); }
-
- private:
-  SpAlgo* algo_;
 };
 
 }  // namespace spr::race::stream

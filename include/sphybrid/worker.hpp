@@ -301,9 +301,11 @@ class BasicWorkStealingEngine {
       ++w.queries;
       return answer(w, u, cur);
     };
-    // The engine is one program == one stream; sharding (hash-partitioned
-    // locations, per-shard locks, SoA cells) is shared with the streaming
-    // service so both deployments run the same shadow code.
+    // The engine is one program == one stream; the sharded AoS shadow
+    // table (hash-partitioned locations, per-shard locks) is the one the
+    // in-process detectors and the streaming service run, so every
+    // deployment runs the same shadow code. Here the shard locks matter:
+    // all P workers write into it.
     for (const tree::Access& a : tree_.accesses(v))
       shadow_.apply(/*stream=*/0, a, v, serial, local_races);
     if (local_races > 0)

@@ -1,14 +1,15 @@
 #pragma once
 // Chunked bump-pointer arena and typed free-list pools — the allocation
-// substrate of the streaming race-detection service (race/stream/) and of
-// the order-maintenance lists (om/order_list.hpp).
+// substrate of the order-maintenance lists (om/order_list.hpp) and of the
+// ALL-SETS history entries (race/stream/shadow_shards.hpp).
 //
 // Arena: allocations are O(1) pointer bumps into geometrically growing
-// malloc'd chunks; nothing is freed until the arena dies. That is exactly
-// the lifetime shape of a detection session (shadow cells and OM items
-// live until the stream closes), and it removes the per-item malloc/free
-// traffic that made SP-order construction super-linear at 640k threads
-// (the thm5 bench's allocator cliff — see BENCH_4.json).
+// malloc'd chunks; nothing is freed until the arena dies. That suits
+// small nodes that live as long as their owner (OM items, history
+// entries), and it removes the per-item malloc/free traffic that made
+// SP-order construction super-linear at 640k threads (the thm5 bench's
+// allocator cliff — see BENCH_4.json). Arrays that grow by doubling do
+// not belong here: every superseded generation would stay allocated.
 //
 // Pool<T>: a free list layered on an arena, so erase/insert churn (e.g.
 // the footnote-2 compact SP-order reclaiming completed subtrees) recycles
@@ -48,11 +49,6 @@ class Arena {
     }
     cur_ = p + bytes;
     return reinterpret_cast<void*>(p);
-  }
-
-  template <typename T>
-  T* alloc_array(std::size_t n) {
-    return static_cast<T*>(allocate(n * sizeof(T), alignof(T)));
   }
 
   /// Total bytes obtained from the system allocator (not just handed out).

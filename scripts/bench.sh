@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Pinned benchmark runner: builds the bench harnesses, runs each one
-# pinned to core 0 (taskset) for stable numbers, collects their `#METRIC`
-# JSON lines plus wall-clock, and writes BENCH_<n>.json at the repo root
-# (n = first unused index, so committed baselines are never overwritten).
+# pinned (taskset) for stable numbers, collects their `#METRIC` JSON lines
+# plus wall-clock, and writes BENCH_<n>.json at the repo root (n = first
+# unused index, so committed baselines are never overwritten). Serial
+# harnesses run on core 0; the ones that sweep a worker or client count P
+# get cores 0..nproc-1, so their P>1 rows are not oversubscribed. Each
+# bench's core list is recorded under "host"."masks".
 #
 # Usage: scripts/bench.sh [--quick]
 #   --quick  skip om_micro (the google-benchmark microbench is the slow one)
@@ -18,10 +21,14 @@ BUILD=build-bench
 cmake -B "${BUILD}" -S . -DBUILD_BENCH=ON -DBUILD_TESTS=OFF >/dev/null
 cmake --build "${BUILD}" -j "$(nproc)" >/dev/null
 
-PIN=""
+HAVE_TASKSET=0
 if command -v taskset >/dev/null 2>&1; then
-  PIN="taskset -c 0"
+  HAVE_TASKSET=1
 fi
+ALL_CORES="0-$(($(nproc) - 1))"
+# Harnesses that sweep P; every other one is serial.
+declare -A SWEEPS_P=([thm10_sphybrid_scaling]=1 [naive_vs_hybrid]=1
+                     [om_shootout]=1 [ext_stream_ingest]=1)
 
 # Next free BENCH_<n>.json index.
 n=1
@@ -37,9 +44,15 @@ fi
 LOGDIR=$(mktemp -d)
 trap 'rm -rf "${LOGDIR}"' EXIT
 
-declare -A WALL
+declare -A WALL MASK
 for b in "${BENCHES[@]}"; do
-  echo "== ${b} (pinned: ${PIN:-no}) =="
+  MASK[${b}]=none
+  PIN=""
+  if [[ "${HAVE_TASKSET}" == "1" ]]; then
+    MASK[${b}]=$([[ -n "${SWEEPS_P[${b}]:-}" ]] && echo "${ALL_CORES}" || echo 0)
+    PIN="taskset -c ${MASK[${b}]}"
+  fi
+  echo "== ${b} (cores: ${MASK[${b}]}) =="
   start=$(date +%s.%N)
   # om_micro reports through google-benchmark's own JSON.
   if [[ "${b}" == "om_micro" ]]; then
@@ -59,7 +72,15 @@ done
   echo "{"
   echo "  \"run\": ${n},"
   echo "  \"date\": \"$(date -u +%Y-%m-%dT%H:%M:%SZ)\","
-  echo "  \"host\": {\"nproc\": $(nproc), \"pinned\": $( [[ -n "${PIN}" ]] && echo true || echo false )},"
+  echo "  \"host\": {\"nproc\": $(nproc), \"pinned\": $( [[ "${HAVE_TASKSET}" == "1" ]] && echo true || echo false ),"
+  echo "    \"masks\": {"
+  first=1
+  for b in "${BENCHES[@]}"; do
+    [[ "${first}" == "0" ]] && echo "      ,"
+    first=0
+    echo "      \"${b}\": \"${MASK[${b}]}\""
+  done
+  echo "    }},"
   echo "  \"benches\": {"
   first=1
   for b in "${BENCHES[@]}"; do

@@ -13,8 +13,8 @@
 // decompose per location, so multi-location behavior is exactly the
 // product of single-location behaviors.
 //  - Phase A (L = 1..5): full streaming-service path (validator, batch,
-//    sharded SoA shadow, native per-stream SP-order) AND the in-process
-//    thin-client detector, with patterns over TWO locations — 4^L
+//    sharded shadow, native per-stream SP-order) AND the trusted
+//    in-process detector, with patterns over TWO locations — 4^L
 //    combinations of {read,write} x {loc0,loc1}, plus a no-access letter
 //    at L <= 3 to cover empty-trace leaves.
 //  - Phase B (L = 6..7): every shape, {read,write}^L on one location,
@@ -119,7 +119,7 @@ bool service_verdict(const ParseTree& t) {
   return svc.report(s).races.has_race();
 }
 
-/// Thin-client verdict: the in-process detector over a serial SP-order.
+/// In-process verdict: the trusted detector over a serial SP-order.
 bool detector_verdict(const ParseTree& t) {
   spr::order::SpOrder algo(t);
   return spr::race::detect_races(t, algo).has_race();
@@ -136,7 +136,7 @@ TEST(Completeness, ShapeEnumerationMatchesCatalanCounts) {
 }
 
 // ---------------------------------------------------------------------
-// Phase A: L = 1..5, two locations, full service path + thin client.
+// Phase A: L = 1..5, two locations, full service path + in-process.
 
 TEST(Completeness, PhaseATwoLocationsThroughFullService) {
   std::uint64_t cases = 0, racy = 0;
@@ -168,7 +168,7 @@ TEST(Completeness, PhaseATwoLocationsThroughFullService) {
         ASSERT_EQ(service_verdict(t), expect_race)
             << "service, L=" << leaves << " code=" << code;
         ASSERT_EQ(detector_verdict(t), expect_race)
-            << "thin client, L=" << leaves << " code=" << code;
+            << "in-process, L=" << leaves << " code=" << code;
         ++cases;
         if (expect_race) ++racy;
       }

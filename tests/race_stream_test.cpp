@@ -1,8 +1,10 @@
 // Streaming race-detection service tests (race/stream/):
 //  - verdict parity: the native streaming service (StreamingSpOrder per
-//    stream) must report the same race and query counts as the in-process
-//    thin-client detector on the whole generator corpus, for both the
+//    stream) must report the same race and query counts as the trusted
+//    in-process detector over every serial backend (SP-order, compact
+//    SP-order, SP-bags) on the whole generator corpus, for both the
 //    determinacy and ALL-SETS shadow protocols;
+//  - shadow memory: superseded table generations are freed;
 //  - batch-boundary invariance: replaying one trace at any batch size and
 //    shard count yields identical verdicts;
 //  - malformed-input robustness: truncated, reordered, and duplicate-id
@@ -16,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,8 +28,10 @@
 #include "race/detector.hpp"
 #include "race/stream/service.hpp"
 #include "sp_test_util.hpp"
+#include "spbags/sp_bags.hpp"
 #include "sphybrid/executor.hpp"
 #include "sporder/sp_order.hpp"
+#include "sporder/sp_order_compact.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -54,26 +60,55 @@ stream::StreamReport replay(const std::vector<Event>& events,
   return svc.report(s);
 }
 
+/// Both in-process detectors over a fresh `Algo` must match the service's
+/// verdicts and query counts.
+template <typename Algo>
+void expect_in_process_matches(const ParseTree& t, const std::string& name,
+                               const stream::StreamReport& streamed,
+                               const stream::StreamReport& lock_streamed) {
+  Algo a1(t);
+  const auto in_process = spr::race::detect_races(t, a1);
+  EXPECT_EQ(streamed.races.race_count, in_process.race_count) << name;
+  EXPECT_EQ(streamed.races.queries, in_process.queries) << name;
+
+  Algo a2(t);
+  const auto lock_in_process = spr::race::detect_lock_races(t, a2);
+  EXPECT_EQ(lock_streamed.races.race_count, lock_in_process.race_count)
+      << name;
+  EXPECT_EQ(lock_streamed.races.queries, lock_in_process.queries) << name;
+}
+
 TEST(StreamService, CorpusVerdictsMatchInProcessDetector) {
   for (const auto& prog : spr::testutil::corpus()) {
     const std::vector<Event> events = record_events(prog.tree);
-
-    spr::order::SpOrder a1(prog.tree);
-    const auto in_process = spr::race::detect_races(prog.tree, a1);
     const auto streamed = replay(events);
-    EXPECT_EQ(streamed.races.race_count, in_process.race_count) << prog.name;
-    EXPECT_EQ(streamed.races.queries, in_process.queries) << prog.name;
+    const auto lock_streamed = replay<stream::AllSetsShadow>(events);
     EXPECT_EQ(streamed.events, events.size()) << prog.name;
     EXPECT_TRUE(streamed.finished) << prog.name;
 
-    spr::order::SpOrder a2(prog.tree);
-    const auto lock_in_process = spr::race::detect_lock_races(prog.tree, a2);
-    const auto lock_streamed = replay<stream::AllSetsShadow>(events);
-    EXPECT_EQ(lock_streamed.races.race_count, lock_in_process.race_count)
-        << prog.name;
-    EXPECT_EQ(lock_streamed.races.queries, lock_in_process.queries)
-        << prog.name;
+    expect_in_process_matches<spr::order::SpOrder>(
+        prog.tree, prog.name + " sp-order", streamed, lock_streamed);
+    expect_in_process_matches<spr::order::SpOrderCompact>(
+        prog.tree, prog.name + " sp-order-compact", streamed, lock_streamed);
+    expect_in_process_matches<spr::bags::SpBags>(
+        prog.tree, prog.name + " sp-bags", streamed, lock_streamed);
   }
+}
+
+TEST(StreamService, ShadowFreesSupersededTableGenerations) {
+  // Each doubling frees the array it replaces, so the footprint is the
+  // live table alone: 24-byte slots at a load of at most 3/4, and at most
+  // twice that right after a doubling.
+  constexpr std::uint64_t kLocs = std::uint64_t{1} << 16;
+  stream::DeterminacyShadow shadow(16);
+  const auto serial = [](spr::tree::ThreadId, spr::tree::ThreadId) {
+    return true;
+  };
+  std::uint64_t races = 0;
+  for (std::uint64_t loc = 0; loc < kLocs; ++loc)
+    shadow.apply(0, {loc, true, 0}, 0, serial, races);
+  EXPECT_EQ(races, 0u);
+  EXPECT_LE(shadow.memory_bytes(), 64 * kLocs);
 }
 
 TEST(StreamService, SerialReferenceModeRecordsTheSameTrace) {
@@ -132,6 +167,8 @@ TEST(StreamService, RejectsUnknownAndFinishedStreams) {
   b.stream = 7;  // never opened
   b.events.push_back(stream::thread_begin_event(0));
   EXPECT_EQ(svc.submit(b).error, IngestError::kUnknownStream);
+  EXPECT_EQ(svc.finish(7).error, IngestError::kUnknownStream);
+  EXPECT_THROW((void)svc.sp(7), std::out_of_range);
 
   const StreamId s = svc.open_stream();
   b.stream = s;
