@@ -5,7 +5,8 @@
 //
 // The harness runs the access-carrying kernels at increasing sizes,
 // measures plain execution (walk + work + touching every access) and
-// detection time per backend, and reports the slowdown factors.
+// detection time per backend, and reports the slowdown factors. Emits
+// one `#METRIC {...}` line per (kernel, n, backend) for scripts/bench.sh.
 
 #include <iostream>
 #include <memory>
@@ -55,6 +56,14 @@ double time_detect(const ParseTree& t) {
   return sw.elapsed_s();
 }
 
+void emit_metric(const std::string& kernel, std::uint32_t n,
+                 const char* backend, double plain, double detect) {
+  std::cout << "#METRIC {\"bench\":\"cor6_race_overhead\",\"kernel\":\""
+            << kernel << "\",\"n\":" << n << ",\"backend\":\"" << backend
+            << "\",\"plain_s\":" << plain << ",\"detect_s\":" << detect
+            << ",\"slowdown\":" << detect / plain << "}\n";
+}
+
 void bench(const std::string& name, std::uint32_t base) {
   std::cout << "\n-- " << name << " --\n";
   spr::util::Table table({"n", "threads", "accesses/thread", "plain",
@@ -81,6 +90,8 @@ void bench(const std::string& name, std::uint32_t base) {
                    spr::util::fmt_double(sporder / plain, 2) + "x",
                    spr::util::fmt_ns(spbags * 1e9),
                    spr::util::fmt_double(spbags / plain, 2) + "x"});
+    emit_metric(name, n, "sp-order", plain, sporder);
+    emit_metric(name, n, "sp-bags", plain, spbags);
   }
   table.print(std::cout);
 }

@@ -4,8 +4,8 @@
 // bounds the paper's abstract says improve correspondingly with SP-order.
 //
 // It shares the determinacy detector's serial walk (race/detector.hpp)
-// and swaps in the ALL-SETS protocol of the sharded shadow layer,
-// stream::AllSetsShadow (race/stream/shadow_shards.hpp): per location a
+// and its unlocked block table, over the ALL-SETS protocol instead
+// (stream::AllSetsProtocol, race/stream/shadow_shards.hpp): per location a
 // pruned history of (lockset, writer?) entries, each remembering the
 // most recent thread and a sticky parallel one. An access races with a
 // history entry iff at least one side writes, the locksets are disjoint,
@@ -21,7 +21,8 @@ namespace spr::race {
 /// SP-maintenance backend `algo`.
 template <typename SpAlgo>
 inline RaceReport detect_lock_races(const tree::ParseTree& t, SpAlgo& algo) {
-  return detail::detect<stream::AllSetsShadow>(t, algo);
+  using Table = stream::BlockTable<stream::AllSetsProtocol>;
+  return detail::detect<Table>(t, algo);
 }
 
 }  // namespace spr::race

@@ -5,8 +5,10 @@
 // SP-bags stay correct), and applies each access of a leaf to the shadow
 // memory while that leaf is the executing thread. The walk is trusted,
 // so nothing is validated: the untrusted path is the streaming service
-// (race/stream/service.hpp), and both run the same sharded shadow layer
-// (race/stream/shadow_shards.hpp), with the in-process walk as stream 0.
+// (race/stream/service.hpp). Both run the same block table
+// (race/stream/shadow_shards.hpp), with the in-process walk as stream 0;
+// the walk is serial, so the detector owns one table outright, with no
+// shards and no lock.
 //
 // The shadow protocol itself (last writer + recent reader + sticky
 // parallel reader) lives in race/shadow_protocol.hpp; its soundness and
@@ -28,7 +30,8 @@ namespace detail {
 /// Templated on the SP algorithm so detection can run over any backend
 /// (tree::SpMaintenance subclasses, a concrete SpOrder, or a templated
 /// hybrid facade) with statically bound — devirtualized — queries, and
-/// on the shadow protocol (DeterminacyShadow or AllSetsShadow).
+/// on the shadow table (a stream::BlockTable over the determinacy or
+/// ALL-SETS protocol).
 /// SpAlgo needs enter_internal / between_children / leave_internal /
 /// visit_leaf / leave_leaf / precedes.
 template <typename SpAlgo, typename Shadow>
@@ -79,7 +82,8 @@ inline RaceReport detect(const tree::ParseTree& t, SpAlgo& algo) {
 /// fresh `algo` (any SpMaintenance backend) for SP queries.
 template <typename SpAlgo>
 inline RaceReport detect_races(const tree::ParseTree& t, SpAlgo& algo) {
-  return detail::detect<stream::DeterminacyShadow>(t, algo);
+  using Table = stream::BlockTable<stream::DeterminacyProtocol>;
+  return detail::detect<Table>(t, algo);
 }
 
 }  // namespace spr::race

@@ -2,7 +2,7 @@
 // The determinacy-race shadow protocol (Corollary 6), shared verbatim by
 // every consumer: the serial in-process detector (race/detector.hpp),
 // the SP-hybrid engine's parallel detection (sphybrid/worker.hpp), and
-// the streaming service, all three over the sharded AoS shadow table
+// the streaming service, all three over the block table
 // (race/stream/shadow_shards.hpp), plus the kSerialReference oracle's
 // ShadowMemory below. One definition, so the rule the completeness test
 // certifies (tests/race_completeness_test.cpp) is the rule every

@@ -14,9 +14,12 @@
 // per-stream mutex — a second client of the same stream serializes, it
 // does not corrupt), any number of streams in parallel. Per-stream SP
 // state is only ever mutated by its submitter; the sharded shadow memory
-// (race/stream/shadow_shards.hpp, the same layer the in-process
-// detectors run) is the one cross-stream structure and carries per-shard
-// locks. Verdicts are deterministic: they depend only on each stream's
+// (race/stream/shadow_shards.hpp: blocks of 32 locations, keyed by
+// stream, over shards that each carry a lock) is the one cross-stream
+// structure. The in-process detectors run the same block table without
+// the shards or locks. An untrusted client chooses its addresses, and
+// each scattered location costs a whole block (~400 B); nothing caps
+// that yet. Verdicts are deterministic: they depend only on each stream's
 // own event order, never on cross-stream interleaving — the mc
 // shard-contention scenarios check exactly this.
 //

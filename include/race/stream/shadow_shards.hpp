@@ -1,31 +1,44 @@
 #pragma once
-// Sharded shadow memory: the one shadow layer every deployment runs — the
-// in-process detectors (race/detector.hpp, race/allsets.hpp), the
-// streaming service (race/stream/service.hpp) and the SP-hybrid workers
-// (sphybrid/worker.hpp).
+// Block-granular shadow memory: the one shadow layer every deployment
+// runs — the in-process detectors (race/detector.hpp, race/allsets.hpp),
+// the streaming service (race/stream/service.hpp) and the SP-hybrid
+// workers (sphybrid/worker.hpp).
 //
-// ShadowTable<Cell> is an open-addressed, linear-probing array of structs
-// {loc, stream, cell}: one probe touches one slot, and a cell's whole
-// state shares that slot's cache line. The table allocates nothing until
-// its first insert and frees the old array when it doubles. Cells are
-// keyed by (stream, location): streams are independent programs that
-// share the shard infrastructure, never verdicts.
+// BlockTable<Protocol> maps (stream, loc >> kBlockBits) to a block of
+// kBlockCells = 32 consecutive cells; the low kBlockBits of a location
+// index its cell inside the block. Contiguous locations therefore share
+// one directory lookup per block and sit in adjacent cells, so array
+// sweeps stay cache-local. The directory is an array of chain heads
+// (blocks link to the next block of their bucket) that doubles before
+// it would hold more blocks than buckets, so past its first 16 buckets
+// it costs fewer than two 8-byte slots per block; it allocates nothing
+// before the first access. Blocks are keyed by stream too: streams are
+// independent programs that share the table, never verdicts. The table
+// owns its Protocol, which holds whatever state the cells share
+// (ALL-SETS' entry pool). It takes no lock: the serial detectors own
+// one table each.
 //
-// ShardedShadow<Protocol> hash-partitions locations across a power-of-two
-// number of shards, each a ShadowTable plus any per-shard protocol state
-// behind a spr::mutex (the atomics-policy type, so the model checker can
-// drive the locking — see tests/mc_test.cpp's shard-contention
-// scenarios). The shard comes from the high bits of mix64(loc) and the
-// slot from the low bits of cell_hash(stream, loc), so the keys of one
-// shard still spread over all of its slots.
+// Sparse input is the expensive case: a location alone in its block
+// costs a whole block (kBlockBytes, 408 B for the determinacy protocol)
+// plus its directory share, against ~13 B per location for a dense
+// array. tests/race_stream_test.cpp checks both.
+//
+// ShardedShadow<Protocol> is an array of {spr::mutex, BlockTable} for
+// the shadows written by more than one thread: the service's client
+// streams and the SP-hybrid workers. The shard is the high bits of
+// mix64(loc >> kBlockBits), so a block never straddles shards; inside
+// the shard the table's own multiplicative hash picks the bucket. The
+// mutex is the atomics-policy type, so the model checker can drive the
+// locking (see tests/mc_test.cpp's shard-contention scenarios).
 //
 // The two protocols:
-//   DeterminacyShadow - the writer + two-reader rule of
-//                       race/shadow_protocol.hpp, one ShadowCell per key.
-//   AllSetsShadow     - ALL-SETS (Cheng et al.): per key a pruned history
-//                       of (lockset, writer?) entries, each remembering
-//                       the most recent and one sticky parallel thread,
-//                       drawn from a per-shard free-list pool.
+//   DeterminacyProtocol - the writer + two-reader rule of
+//                         race/shadow_protocol.hpp, one ShadowCell per
+//                         location.
+//   AllSetsProtocol     - ALL-SETS (Cheng et al.): per location a pruned
+//                         history of (lockset, writer?) entries, each
+//                         remembering the most recent and one sticky
+//                         parallel thread, drawn from the table's pool.
 
 #include <cstddef>
 #include <cstdint>
@@ -40,10 +53,13 @@
 
 namespace spr::race::stream {
 
+inline constexpr std::uint32_t kBlockBits = 5;
+inline constexpr std::uint64_t kBlockCells = std::uint64_t{1} << kBlockBits;
+
 namespace detail {
 
-/// splitmix64 finalizer: full-avalanche location mixing, so contiguous
-/// array fills spread evenly across shards and table slots.
+/// splitmix64 finalizer: full-avalanche mixing, so consecutive block
+/// numbers spread evenly across shards.
 inline std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -51,62 +67,116 @@ inline std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-inline std::uint64_t cell_hash(StreamId s, std::uint64_t loc) {
-  return mix64(loc ^ (static_cast<std::uint64_t>(s) << 32));
-}
-
 }  // namespace detail
 
-/// Open-addressed AoS table keyed by (stream, loc). Grows by doubling at
-/// 3/4 load; the superseded array is freed on the spot.
-template <typename Cell>
-class ShadowTable {
- public:
-  Cell& find_or_insert(StreamId s, std::uint64_t loc) {
-    if (count_ * 4 >= cap_ * 3) grow();
-    std::size_t i = detail::cell_hash(s, loc) & (cap_ - 1);
-    while (slots_[i].stream != kNoStream) {
-      if (slots_[i].stream == s && slots_[i].loc == loc) return slots_[i].cell;
-      i = (i + 1) & (cap_ - 1);
-    }
-    slots_[i].stream = s;
-    slots_[i].loc = loc;
-    ++count_;
-    return slots_[i].cell;
-  }
-
-  std::size_t memory_bytes() const { return cap_ * sizeof(Slot); }
-
- private:
-  struct Slot {
-    std::uint64_t loc = 0;
-    StreamId stream = kNoStream;
-    Cell cell{};
-  };
-
-  void grow() {
-    const std::size_t ncap = cap_ == 0 ? 64 : cap_ * 2;
-    std::unique_ptr<Slot[]> next(new Slot[ncap]);
-    for (std::size_t i = 0; i < cap_; ++i) {
-      const Slot& old = slots_[i];
-      if (old.stream == kNoStream) continue;
-      std::size_t j = detail::cell_hash(old.stream, old.loc) & (ncap - 1);
-      while (next[j].stream != kNoStream) j = (j + 1) & (ncap - 1);
-      next[j] = old;
-    }
-    slots_ = std::move(next);
-    cap_ = ncap;
-  }
-
-  std::unique_ptr<Slot[]> slots_;
-  std::size_t cap_ = 0;
-  std::size_t count_ = 0;
+/// A snapshot of a shadow's size. Read on demand from the tables'
+/// own fields; nothing on the access path counts.
+struct ShadowStats {
+  std::size_t blocks = 0;           ///< blocks allocated
+  std::size_t directory_slots = 0;  ///< directory buckets allocated
+  std::size_t memory_bytes = 0;     ///< everything the shadow holds
 };
 
-/// One ShadowTable per shard, each under its own lock. `Protocol` names
-/// the cell type and applies one access to a cell; one Protocol object
-/// lives in each shard for whatever state the cells share (ALL-SETS'
-/// entry pool).
+/// Unlocked block table keyed by (stream, loc >> kBlockBits).
+/// `Protocol` names the cell type and applies one access to a cell.
+template <typename Protocol>
+class BlockTable {
+  struct Block {
+    std::unique_ptr<Block> next;  ///< next block of the same bucket
+    std::uint64_t key = 0;        ///< loc >> kBlockBits
+    StreamId stream = kNoStream;
+    typename Protocol::Cell cells[kBlockCells]{};
+  };
+
+ public:
+  /// What one block and one directory slot cost, for stating bounds.
+  static constexpr std::size_t kBlockBytes = sizeof(Block);
+  static constexpr std::size_t kSlotBytes = sizeof(std::unique_ptr<Block>);
+
+  BlockTable() = default;
+  BlockTable(const BlockTable&) = delete;
+  BlockTable& operator=(const BlockTable&) = delete;
+  /// Unlinks each chain block by block: a service client picks its own
+  /// addresses and can collide them into one long chain, which the
+  /// blocks' recursive destructors would walk on the stack.
+  ~BlockTable() {
+    for (std::size_t i = 0; i < cap_; ++i)
+      while (buckets_[i] != nullptr) buckets_[i] = std::move(buckets_[i]->next);
+  }
+
+  /// Applies one access by thread `v` to its location's cell.
+  template <typename SerialFn>
+  void apply(StreamId s, const tree::Access& a, tree::ThreadId v,
+             SerialFn&& serial, std::uint64_t& race_count) {
+    Block& b = block(s, a.loc >> kBlockBits);
+    protocol_.apply(b.cells[a.loc & (kBlockCells - 1)], a, v, serial,
+                    race_count);
+  }
+
+  ShadowStats stats() const {
+    return {count_, cap_,
+            sizeof(*this) + cap_ * kSlotBytes + count_ * kBlockBytes +
+                protocol_.memory_bytes()};
+  }
+
+  std::size_t memory_bytes() const { return stats().memory_bytes; }
+
+ private:
+  /// Fibonacci hashing: the top bits of the key times 2^64 / phi, one
+  /// multiply that still spreads consecutive block numbers over distinct
+  /// buckets. ShardedShadow picks shards with mix64 instead, so the keys
+  /// of one shard do not share their bucket bits.
+  static std::size_t bucket(StreamId s, std::uint64_t key, unsigned shift) {
+    return static_cast<std::size_t>(
+        ((key ^ (static_cast<std::uint64_t>(s) << 32)) *
+         0x9e3779b97f4a7c15ULL) >>
+        shift);
+  }
+
+  Block& block(StreamId s, std::uint64_t key) {
+    if (cap_ != 0)
+      for (Block* b = buckets_[bucket(s, key, shift_)].get(); b != nullptr;
+           b = b->next.get())
+        if (b->key == key && b->stream == s) return *b;
+    if (count_ == cap_) grow();  // keeps at most one block per bucket
+    std::unique_ptr<Block>& head = buckets_[bucket(s, key, shift_)];
+    auto fresh = std::make_unique<Block>();
+    fresh->key = key;
+    fresh->stream = s;
+    fresh->next = std::move(head);
+    head = std::move(fresh);
+    ++count_;
+    return *head;
+  }
+
+  /// Doubles the directory, relinking every block; blocks never move.
+  void grow() {
+    const std::size_t ncap = cap_ == 0 ? 16 : cap_ * 2;
+    const unsigned nshift = cap_ == 0 ? 60 : shift_ - 1;
+    std::unique_ptr<std::unique_ptr<Block>[]> next(
+        new std::unique_ptr<Block>[ncap]);
+    for (std::size_t i = 0; i < cap_; ++i) {
+      while (buckets_[i] != nullptr) {
+        std::unique_ptr<Block> b = std::move(buckets_[i]);
+        buckets_[i] = std::move(b->next);
+        std::unique_ptr<Block>& dst = next[bucket(b->stream, b->key, nshift)];
+        b->next = std::move(dst);
+        dst = std::move(b);
+      }
+    }
+    buckets_ = std::move(next);
+    cap_ = ncap;
+    shift_ = nshift;
+  }
+
+  std::unique_ptr<std::unique_ptr<Block>[]> buckets_;
+  std::size_t cap_ = 0;
+  std::size_t count_ = 0;
+  unsigned shift_ = 64;  ///< 64 - log2(cap_)
+  Protocol protocol_;
+};
+
+/// One BlockTable per shard, each under its own lock.
 template <typename Protocol>
 class ShardedShadow {
  public:
@@ -122,31 +192,37 @@ class ShardedShadow {
              SerialFn&& serial, std::uint64_t& race_count) {
     Shard& sh = shards_[shard_of(a.loc)];
     spr::lock_guard<spr::mutex> lock(sh.mu);
-    sh.protocol.apply(sh.table.find_or_insert(s, a.loc), a, v, serial,
-                      race_count);
+    sh.table.apply(s, a, v, serial, race_count);
   }
 
   std::uint32_t shard_of(std::uint64_t loc) const {
     return bits_ == 0 ? 0
-                      : static_cast<std::uint32_t>(detail::mix64(loc) >>
-                                                   (64 - bits_));
+                      : static_cast<std::uint32_t>(
+                            detail::mix64(loc >> kBlockBits) >> (64 - bits_));
   }
 
-  std::size_t memory_bytes() const {
-    std::size_t n = sizeof(*this);
-    for (std::size_t i = 0; i < shard_count(); ++i)
-      n += sizeof(Shard) + shards_[i].table.memory_bytes() +
-           shards_[i].protocol.memory_bytes();
-    return n;
+  /// Sums the shards' tables, each read under its lock.
+  ShadowStats stats() const {
+    ShadowStats s{0, 0, sizeof(*this)};
+    for (std::size_t i = 0; i < shard_count(); ++i) {
+      spr::lock_guard<spr::mutex> lock(shards_[i].mu);
+      const ShadowStats t = shards_[i].table.stats();
+      s.blocks += t.blocks;
+      s.directory_slots += t.directory_slots;
+      s.memory_bytes +=
+          sizeof(Shard) - sizeof(BlockTable<Protocol>) + t.memory_bytes;
+    }
+    return s;
   }
+
+  std::size_t memory_bytes() const { return stats().memory_bytes; }
 
  private:
   // Cache-line aligned so workers locking neighbouring shards do not
   // share a line.
   struct alignas(64) Shard {
     spr::mutex mu;
-    ShadowTable<typename Protocol::Cell> table;
-    Protocol protocol;
+    BlockTable<Protocol> table;
   };
 
   static std::uint32_t log2_ceil(std::uint32_t x) {
@@ -161,7 +237,7 @@ class ShardedShadow {
   std::unique_ptr<Shard[]> shards_;
 };
 
-/// The determinacy protocol: one ShadowCell per key.
+/// The determinacy protocol: one ShadowCell per location.
 struct DeterminacyProtocol {
   using Cell = ShadowCell;
 
@@ -173,8 +249,8 @@ struct DeterminacyProtocol {
   std::size_t memory_bytes() const { return 0; }
 };
 
-/// ALL-SETS: per key a list of history entries, one per (lockset, write)
-/// pair seen at the location.
+/// ALL-SETS: per location a list of history entries, one per
+/// (lockset, write) pair seen there.
 class AllSetsProtocol {
   struct Entry {
     std::uint64_t locks = 0;

@@ -301,11 +301,11 @@ class BasicWorkStealingEngine {
       ++w.queries;
       return answer(w, u, cur);
     };
-    // The engine is one program == one stream; the sharded AoS shadow
-    // table (hash-partitioned locations, per-shard locks) is the one the
-    // in-process detectors and the streaming service run, so every
-    // deployment runs the same shadow code. Here the shard locks matter:
-    // all P workers write into it.
+    // The engine is one program == one stream; the sharded shadow
+    // (32-location blocks hash-partitioned over locked shards) runs the
+    // same block table as the in-process detectors and the streaming
+    // service. Here the shard locks matter: all P workers write into it,
+    // and workers touching one block share its shard's lock.
     for (const tree::Access& a : tree_.accesses(v))
       shadow_.apply(/*stream=*/0, a, v, serial, local_races);
     if (local_races > 0)

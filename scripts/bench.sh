@@ -28,7 +28,8 @@ fi
 ALL_CORES="0-$(($(nproc) - 1))"
 # Harnesses that sweep P; every other one is serial.
 declare -A SWEEPS_P=([thm10_sphybrid_scaling]=1 [naive_vs_hybrid]=1
-                     [om_shootout]=1 [ext_stream_ingest]=1)
+                     [om_shootout]=1 [ext_stream_ingest]=1
+                     [ext_parallel_racedetect]=1)
 
 # Next free BENCH_<n>.json index.
 n=1
@@ -36,7 +37,8 @@ while [[ -e "BENCH_${n}.json" ]]; do n=$((n + 1)); done
 OUT="BENCH_${n}.json"
 
 BENCHES=(fig3_serial_comparison thm5_sporder_scaling thm10_sphybrid_scaling
-         naive_vs_hybrid cor6_race_overhead ext_stream_ingest om_shootout)
+         naive_vs_hybrid cor6_race_overhead ext_stream_ingest om_shootout
+         ext_parallel_racedetect ext_allsets ablation_dsu)
 if [[ "${QUICK}" == "0" ]]; then
   BENCHES+=(om_micro)
 fi

@@ -7,16 +7,21 @@
 // Corollary 6's claim that the serial-replay protocol misses nothing and
 // never false-positives.
 //
-// Cost containment, justified by per-location independence: both the
-// shadow protocol (one cell per location, never mixing locations) and
-// the oracle verdict (a pair can only conflict on a common location)
-// decompose per location, so multi-location behavior is exactly the
+// Cost containment, justified by per-location independence: the oracle
+// verdict decomposes per location (a pair can only conflict on a common
+// location), and so does the shadow protocol, provided the block table
+// (race/stream/shadow_shards.hpp) gives every location its own cell.
+// It groups 32 consecutive locations into one block and hashes blocks
+// to shards and buckets, so Phase A certifies that indexing on four
+// location pairs: the same block (0, 1), adjacent blocks (31, 32), the
+// same offset in adjacent blocks (0, 32), and blocks far apart
+// (5, 5 + 2^40). With that, multi-location behavior is exactly the
 // product of single-location behaviors.
 //  - Phase A (L = 1..5): full streaming-service path (validator, batch,
 //    sharded shadow, native per-stream SP-order) AND the trusted
 //    in-process detector, with patterns over TWO locations — 4^L
 //    combinations of {read,write} x {loc0,loc1}, plus a no-access letter
-//    at L <= 3 to cover empty-trace leaves.
+//    at L <= 3 to cover empty-trace leaves — for each location pair.
 //  - Phase B (L = 6..7): every shape, {read,write}^L on one location,
 //    through the shared shadow_apply + StreamingSpOrder hot path (one SP
 //    build per shape); every 997th case is cross-checked through the
@@ -139,38 +144,48 @@ TEST(Completeness, ShapeEnumerationMatchesCatalanCounts) {
 // Phase A: L = 1..5, two locations, full service path + in-process.
 
 TEST(Completeness, PhaseATwoLocationsThroughFullService) {
+  // Same block; adjacent blocks; the same offset in adjacent blocks,
+  // which a block shift that disagrees with the cell mask would merge;
+  // far apart.
+  const std::uint64_t kPairs[][2] = {
+      {0, 1}, {31, 32}, {0, 32}, {5, 5 + (std::uint64_t{1} << 40)}};
   std::uint64_t cases = 0, racy = 0;
-  for (std::uint32_t leaves = 1; leaves <= 5; ++leaves) {
-    // Letters: [no access,] read loc0, write loc0, read loc1, write loc1.
-    std::vector<Letter> alphabet;
-    if (leaves <= 3) alphabet.push_back({false, false, 0});
-    alphabet.push_back({true, false, 0});
-    alphabet.push_back({true, true, 0});
-    alphabet.push_back({true, false, 1});
-    alphabet.push_back({true, true, 1});
-    const std::uint64_t radix = alphabet.size();
-    std::uint64_t patterns = 1;
-    for (std::uint32_t i = 0; i < leaves; ++i) patterns *= radix;
+  for (const auto& pair : kPairs) {
+    const std::uint64_t loc0 = pair[0], loc1 = pair[1];
+    for (std::uint32_t leaves = 1; leaves <= 5; ++leaves) {
+      // Letters: [no access,] read loc0, write loc0, read loc1, write loc1.
+      std::vector<Letter> alphabet;
+      if (leaves <= 3) alphabet.push_back({false, false, loc0});
+      alphabet.push_back({true, false, loc0});
+      alphabet.push_back({true, true, loc0});
+      alphabet.push_back({true, false, loc1});
+      alphabet.push_back({true, true, loc1});
+      const std::uint64_t radix = alphabet.size();
+      std::uint64_t patterns = 1;
+      for (std::uint32_t i = 0; i < leaves; ++i) patterns *= radix;
 
-    for (const FjNode& shape : shapes(leaves)) {
-      ParseTree t = spr::fj::lower_to_parse_tree({shape});
-      ASSERT_EQ(t.leaf_count(), leaves);
-      const spr::testutil::Oracle oracle(t);
-      std::vector<Letter> pattern(leaves);
-      for (std::uint64_t code = 0; code < patterns; ++code) {
-        std::uint64_t c = code;
-        for (std::uint32_t i = 0; i < leaves; ++i) {
-          pattern[i] = alphabet[c % radix];
-          c /= radix;
+      for (const FjNode& shape : shapes(leaves)) {
+        ParseTree t = spr::fj::lower_to_parse_tree({shape});
+        ASSERT_EQ(t.leaf_count(), leaves);
+        const spr::testutil::Oracle oracle(t);
+        std::vector<Letter> pattern(leaves);
+        for (std::uint64_t code = 0; code < patterns; ++code) {
+          std::uint64_t c = code;
+          for (std::uint32_t i = 0; i < leaves; ++i) {
+            pattern[i] = alphabet[c % radix];
+            c /= radix;
+          }
+          set_pattern(t, pattern);
+          const bool expect_race = oracle_verdict(oracle, pattern);
+          ASSERT_EQ(service_verdict(t), expect_race)
+              << "service, locs " << loc0 << "," << loc1 << " L=" << leaves
+              << " code=" << code;
+          ASSERT_EQ(detector_verdict(t), expect_race)
+              << "in-process, locs " << loc0 << "," << loc1 << " L=" << leaves
+              << " code=" << code;
+          ++cases;
+          if (expect_race) ++racy;
         }
-        set_pattern(t, pattern);
-        const bool expect_race = oracle_verdict(oracle, pattern);
-        ASSERT_EQ(service_verdict(t), expect_race)
-            << "service, L=" << leaves << " code=" << code;
-        ASSERT_EQ(detector_verdict(t), expect_race)
-            << "in-process, L=" << leaves << " code=" << code;
-        ++cases;
-        if (expect_race) ++racy;
       }
     }
   }

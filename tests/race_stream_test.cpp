@@ -4,7 +4,9 @@
 //    in-process detector over every serial backend (SP-order, compact
 //    SP-order, SP-bags) on the whole generator corpus, for both the
 //    determinacy and ALL-SETS shadow protocols;
-//  - shadow memory: superseded table generations are freed;
+//  - shadow memory: superseded directories are freed, a dense fill
+//    takes one block per 32 locations, and sparse input stays within
+//    one block plus two directory slots per location;
 //  - batch-boundary invariance: replaying one trace at any batch size and
 //    shard count yields identical verdicts;
 //  - malformed-input robustness: truncated, reordered, and duplicate-id
@@ -18,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -96,9 +99,9 @@ TEST(StreamService, CorpusVerdictsMatchInProcessDetector) {
 }
 
 TEST(StreamService, ShadowFreesSupersededTableGenerations) {
-  // Each doubling frees the array it replaces, so the footprint is the
-  // live table alone: 24-byte slots at a load of at most 3/4, and at most
-  // twice that right after a doubling.
+  // Each doubling frees the directory it replaces, so the footprint is
+  // the live table alone: a 32-cell block per 32 locations plus fewer
+  // than two 8-byte directory slots per block.
   constexpr std::uint64_t kLocs = std::uint64_t{1} << 16;
   stream::DeterminacyShadow shadow(16);
   const auto serial = [](spr::tree::ThreadId, spr::tree::ThreadId) {
@@ -109,6 +112,51 @@ TEST(StreamService, ShadowFreesSupersededTableGenerations) {
     shadow.apply(0, {loc, true, 0}, 0, serial, races);
   EXPECT_EQ(races, 0u);
   EXPECT_LE(shadow.memory_bytes(), 64 * kLocs);
+}
+
+TEST(StreamService, ShadowStatsCountDenseBlocks) {
+  // A dense fill takes one block per 32 locations, in the detectors'
+  // unlocked table and summed over the service's shards alike.
+  constexpr std::uint64_t kLocs = std::uint64_t{1} << 16;
+  const auto serial = [](spr::tree::ThreadId, spr::tree::ThreadId) {
+    return true;
+  };
+  std::uint64_t races = 0;
+  stream::BlockTable<stream::DeterminacyProtocol> table;
+  stream::DeterminacyShadow shadow(16);
+  for (std::uint64_t loc = 0; loc < kLocs; ++loc) {
+    table.apply(0, {loc, true, 0}, 0, serial, races);
+    shadow.apply(0, {loc, true, 0}, 0, serial, races);
+  }
+  EXPECT_EQ(races, 0u);
+  for (const stream::ShadowStats& st : {table.stats(), shadow.stats()}) {
+    EXPECT_EQ(st.blocks, kLocs / stream::kBlockCells);
+    EXPECT_GE(st.directory_slots, st.blocks);
+  }
+}
+
+TEST(StreamService, SparseLocationsCostOneBlockEach) {
+  // Scattered input is the shadow's worst case: every location sits
+  // alone in its block, so it costs a whole block plus its directory
+  // share. The directory doubles before it would hold more blocks than
+  // buckets, so the total stays within one block and two directory
+  // slots per location.
+  constexpr std::uint64_t kLocs = std::uint64_t{1} << 12;
+  using Table = stream::BlockTable<stream::DeterminacyProtocol>;
+  stream::DeterminacyShadow shadow(16);
+  const auto serial = [](spr::tree::ThreadId, spr::tree::ThreadId) {
+    return true;
+  };
+  std::uint64_t races = 0;
+  for (std::uint64_t i = 0; i < kLocs; ++i)
+    shadow.apply(0, {i << 20, true, 0}, 0, serial, races);
+  EXPECT_EQ(races, 0u);
+  EXPECT_EQ(shadow.stats().blocks, kLocs);
+  EXPECT_LE(shadow.memory_bytes(),
+            kLocs * (Table::kBlockBytes + 2 * Table::kSlotBytes));
+  std::printf("[ sparse ] %.1f B per location (block %zu B)\n",
+              static_cast<double>(shadow.memory_bytes()) / kLocs,
+              Table::kBlockBytes);
 }
 
 TEST(StreamService, SerialReferenceModeRecordsTheSameTrace) {
