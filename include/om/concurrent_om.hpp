@@ -94,7 +94,6 @@ class ConcurrentOrderList {
       link_after(x, item);
     }
     size_.fetch_add(1, std::memory_order_relaxed);
-    inserts_.fetch_add(1, std::memory_order_relaxed);
     return item;
   }
 
@@ -172,7 +171,6 @@ class ConcurrentOrderList {
   Item* head_ = nullptr;
   Item* tail_ = nullptr;
   spr::atomic<std::size_t> size_{0};    ///< read concurrently with inserts
-  spr::atomic<std::uint64_t> inserts_{0};
 };
 
 static_assert(Backend<ConcurrentOrderList>);

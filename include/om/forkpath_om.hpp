@@ -117,7 +117,6 @@ class ForkPathOm {
                                           std::memory_order_acquire)) {
         it->path.store(right, std::memory_order_release);
         size_.fetch_add(1, std::memory_order_relaxed);
-        inserts_.fetch_add(1, std::memory_order_relaxed);
         return it;
       }
       cas_retries_.fetch_add(1, std::memory_order_relaxed);
@@ -238,7 +237,6 @@ class ForkPathOm {
   spr::atomic<Item*> item_allocs_{nullptr};
   spr::atomic<std::size_t> size_{1};
   spr::atomic<std::size_t> chunk_count_{0};
-  spr::atomic<std::uint64_t> inserts_{0};
   spr::atomic<std::uint64_t> cas_retries_{0};
   mutable spr::atomic<std::uint64_t> retries_{0};
 };

@@ -99,13 +99,11 @@ class AtomicDisjointSets {
   }
 
   std::uint32_t find(std::uint32_t x) {
-    finds_.fetch_add(1, std::memory_order_relaxed);
     for (;;) {
       std::uint32_t p = parent_[x].load(std::memory_order_acquire);
       if (p == x) return x;
       const std::uint32_t gp = parent_[p].load(std::memory_order_acquire);
       if (gp == p) return p;
-      find_steps_.fetch_add(1, std::memory_order_relaxed);
       if (mode_ == Mode::kCasHalving) {
         // Swing x's parent up to its grandparent; losing the CAS is fine,
         // someone else moved it at least as high.
@@ -132,12 +130,6 @@ class AtomicDisjointSets {
     return static_cast<std::uint32_t>(parent_.size());
   }
   Mode mode() const { return mode_; }
-  std::uint64_t finds() const {
-    return finds_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t find_steps() const {
-    return find_steps_.load(std::memory_order_relaxed);
-  }
 
   std::size_t memory_bytes() const {
     return sizeof(*this) +
@@ -150,8 +142,6 @@ class AtomicDisjointSets {
   std::vector<spr::atomic<std::uint32_t>> parent_;
   std::vector<std::uint8_t> rank_;  ///< rank_[r] touched only while r is a
                                     ///< root owned by one completion chain
-  spr::atomic<std::uint64_t> finds_{0};       ///< instrumentation only
-  spr::atomic<std::uint64_t> find_steps_{0};  ///< instrumentation only
 };
 
 }  // namespace spr::bags

@@ -15,6 +15,11 @@
 //
 // Queries are only meaningful for completed u against the currently
 // executing v — the on-the-fly discipline race detectors follow.
+//
+// The left-subtree sets waiting for their right siblings sit on a stack
+// (pushed at between_children, popped at leave_internal), so beyond the
+// union-find the structure holds one word per open P/S-node of the walk,
+// not one per parse-tree node.
 
 #include <cstddef>
 #include <cstdint>
@@ -29,8 +34,7 @@ class SpBags : public tree::SpMaintenance {
  public:
   explicit SpBags(const tree::ParseTree& t, bool path_compression = true)
       : dsu_(t.leaf_count(), path_compression),
-        serial_flag_(t.leaf_count(), 0),
-        left_set_(t.node_count(), tree::kNoThread) {}
+        serial_flag_(t.leaf_count(), 0) {}
 
   void leave_leaf(const tree::Node& n) override { completed_ = n.thread; }
 
@@ -38,14 +42,14 @@ class SpBags : public tree::SpMaintenance {
     // completed_ is the set of n's just-finished left subtree.
     const std::uint32_t root = dsu_.find(completed_);
     serial_flag_[root] = n.kind == tree::NodeKind::kSeries ? 1 : 0;
-    left_set_[static_cast<std::size_t>(n.id)] = completed_;
+    left_sets_.push_back(completed_);
   }
 
-  void leave_internal(const tree::Node& n) override {
+  void leave_internal(const tree::Node&) override {
     // Merge the left and right subtree sets; the union's classification
     // is assigned later by the ancestor whose walk crosses it.
-    const std::uint32_t left = left_set_[static_cast<std::size_t>(n.id)];
-    completed_ = dsu_.unite(left, completed_);
+    completed_ = dsu_.unite(left_sets_.back(), completed_);
+    left_sets_.pop_back();
   }
 
   bool precedes(tree::ThreadId u, tree::ThreadId v) override {
@@ -57,7 +61,7 @@ class SpBags : public tree::SpMaintenance {
   std::size_t memory_bytes() const override {
     return sizeof(*this) + dsu_.memory_bytes() +
            serial_flag_.capacity() * sizeof(std::uint8_t) +
-           left_set_.capacity() * sizeof(std::uint32_t);
+           left_sets_.capacity() * sizeof(std::uint32_t);
   }
 
   const DisjointSets& dsu() const { return dsu_; }
@@ -65,7 +69,7 @@ class SpBags : public tree::SpMaintenance {
  private:
   DisjointSets dsu_;
   std::vector<std::uint8_t> serial_flag_;  ///< per DSU root: 1 = S-bag
-  std::vector<std::uint32_t> left_set_;    ///< per node: left subtree set
+  std::vector<std::uint32_t> left_sets_;   ///< open nodes' left subtree sets
   std::uint32_t completed_ = 0;  ///< set of the last completed subtree
 };
 

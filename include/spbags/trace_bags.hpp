@@ -73,8 +73,6 @@ class TraceBags {
                : Answer::kParallel;
   }
 
-  const AtomicDisjointSets& dsu() const { return dsu_; }
-
   std::size_t memory_bytes() const {
     return sizeof(*this) + dsu_.memory_bytes() +
            sflag_.size() * sizeof(std::atomic<std::uint8_t>) +

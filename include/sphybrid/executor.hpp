@@ -22,7 +22,6 @@
 #include <memory>
 #include <mutex>
 
-#include "fjprog/record.hpp"
 #include "race/detector.hpp"
 #include "spbags/dsu.hpp"
 #include "sphybrid/worker.hpp"
@@ -42,33 +41,24 @@ namespace detail {
 class SerialDriver final : public tree::WalkVisitor {
  public:
   SerialDriver(const tree::ParseTree& t, const ExecOptions& o, ExecResult& r)
-      : tree_(t), opts_(o), result_(r) {
-    if (o.mode != Mode::kPlain || o.detect_races)
-      algo_ = std::make_unique<order::SpOrder>(t);
-    if (o.record_events != nullptr)
-      recorder_ = std::make_unique<fj::EventRecorder>(t, *o.record_events);
-  }
+      : tree_(t),
+        opts_(o),
+        result_(r),
+        algo_(std::make_unique<order::SpOrder>(t)) {}
 
   void enter_internal(const tree::Node& n) override {
-    if (algo_ != nullptr) algo_->enter_internal(n);
-    if (recorder_ != nullptr) recorder_->enter_internal(n);
+    algo_->enter_internal(n);
   }
   void between_children(const tree::Node& n) override {
-    if (algo_ != nullptr) algo_->between_children(n);
-    if (recorder_ != nullptr) recorder_->between_children(n);
+    algo_->between_children(n);
   }
   void leave_internal(const tree::Node& n) override {
-    if (algo_ != nullptr) algo_->leave_internal(n);
-    if (recorder_ != nullptr) recorder_->leave_internal(n);
+    algo_->leave_internal(n);
   }
-  void leave_leaf(const tree::Node& n) override {
-    if (algo_ != nullptr) algo_->leave_leaf(n);
-    if (recorder_ != nullptr) recorder_->leave_leaf(n);
-  }
+  void leave_leaf(const tree::Node& n) override { algo_->leave_leaf(n); }
 
   void visit_leaf(const tree::Node& n) override {
-    if (algo_ != nullptr) algo_->visit_leaf(n);
-    if (recorder_ != nullptr) recorder_->visit_leaf(n);
+    algo_->visit_leaf(n);
     spin_xor_ ^= util::spin_work(n.work);
     const tree::ThreadId v = n.thread;
     if (opts_.queries_per_leaf > 0) {
@@ -77,39 +67,27 @@ class SerialDriver final : public tree::WalkVisitor {
       util::Xoshiro256 rng = leaf_query_rng(opts_.seed, v);
       for (std::uint32_t q = 0; q < opts_.queries_per_leaf && v > 0; ++q) {
         const auto u = static_cast<tree::ThreadId>(rng.next_below(v));
-        if (algo_ != nullptr)
-          digest_sum_ += query_digest(u, v, algo_->precedes(u, v));
+        digest_sum_ += query_digest(u, v, algo_->precedes(u, v));
         ++result_.queries;
       }
     }
-    if (opts_.detect_races && algo_ != nullptr) detect(v);
+    if (opts_.detect_races) {
+      const auto serial = race::counted_serial(*algo_, result_.queries);
+      for (const tree::Access& a : tree_.accesses(v))
+        race::shadow_apply(shadow_.cell(a.loc), a, v, serial,
+                           result_.race_count);
+    }
   }
 
   void finish() { result_.checksum = spin_xor_ + digest_sum_; }
 
  private:
-  void detect(tree::ThreadId v) {
-    for (const tree::Access& a : tree_.accesses(v)) {
-      race::shadow_apply(
-          shadow_.cell(a.loc), a, v,
-          [this](tree::ThreadId u, tree::ThreadId w) { return serial(u, w); },
-          result_.race_count);
-    }
-  }
-
-  bool serial(tree::ThreadId u, tree::ThreadId v) {
-    if (u == tree::kNoThread || u == v) return true;
-    ++result_.queries;
-    return algo_->precedes(u, v);
-  }
-
   const tree::ParseTree& tree_;
   const ExecOptions& opts_;
   ExecResult& result_;
   std::uint64_t spin_xor_ = 0;
   std::uint64_t digest_sum_ = 0;
   std::unique_ptr<order::SpOrder> algo_;
-  std::unique_ptr<fj::EventRecorder> recorder_;
   race::ShadowMemory shadow_;
 };
 

@@ -122,15 +122,17 @@ class BasicTwoTierSp {
 
   /// On-the-fly query: u completed (or a recorded accessor), v currently
   /// executing on the calling worker. Tries the same-trace SP-bags tier
-  /// first; falls back to the structural tier.
-  bool precedes_onthefly(tree::ThreadId u, tree::ThreadId v) {
+  /// first, counting its answers in the caller's own `fast_queries`;
+  /// falls back to the structural tier.
+  bool precedes_onthefly(tree::ThreadId u, tree::ThreadId v,
+                         std::uint64_t& fast_queries) {
     if (u == v) return false;
     switch (bags_.precedes_fast(u, v)) {
       case bags::TraceBags::Answer::kSerial:
-        fast_hits_.fetch_add(1, std::memory_order_relaxed);
+        ++fast_queries;
         return true;
       case bags::TraceBags::Answer::kParallel:
-        fast_hits_.fetch_add(1, std::memory_order_relaxed);
+        ++fast_queries;
         return false;
       case bags::TraceBags::Answer::kMiss:
         break;
@@ -138,14 +140,8 @@ class BasicTwoTierSp {
     return precedes(u, v);
   }
 
-  std::uint64_t global_inserts() const {
-    return eng_.global_inserts() + heb_.global_inserts();
-  }
   std::uint64_t query_retries() const {
     return eng_.query_retries() + heb_.query_retries();
-  }
-  std::uint64_t fast_hits() const {
-    return fast_hits_.load(std::memory_order_relaxed);
   }
 
   std::size_t memory_bytes() const {
@@ -175,7 +171,6 @@ class BasicTwoTierSp {
   SegList heb_;
   std::vector<Slot> slots_;
   bags::TraceBags bags_;
-  spr::atomic<std::uint64_t> fast_hits_{0};
 };
 
 /// Default instantiation: mutex-serial global tier (the oracle backend).

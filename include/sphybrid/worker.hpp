@@ -19,7 +19,10 @@
 //
 // Counters are measured, not modeled: steals/splits come from the deques,
 // om_inserts from the global tier, lock_wait_ns from time spent in locked
-// global sections. `traces` reports the paper's |C| = 4*splits + 1
+// global sections, fast_queries from the SP-bags tier's answers. Each is
+// a plain field of the counting worker's WorkerCtx, summed by run(); only
+// the lock-free queries' retry count lives in the shared orders, bumped on
+// the retry path alone. `traces` reports the paper's |C| = 4*splits + 1
 // subtrace accounting, driven by the measured split count (the engine
 // materializes 3 global segment boundaries and at most 2 new execution
 // traces per split; the identity is kept so Section 5's bound is
@@ -35,7 +38,6 @@
 #include <vector>
 
 #include "race/detector.hpp"
-#include "race/stream/event.hpp"
 #include "race/stream/shadow_shards.hpp"
 #include "spbags/dsu.hpp"
 #include "sphybrid/deque.hpp"
@@ -62,10 +64,6 @@ struct ExecOptions {
   bool detect_races = false;
   bags::AtomicDisjointSets::Mode dsu_mode =
       bags::AtomicDisjointSets::Mode::kRankOnly;
-  /// kSerialReference only: when non-null, the run is also serialized
-  /// into the streaming service's event vocabulary (fjprog/record.hpp),
-  /// ready to replay through race::stream::Service at any batch size.
-  std::vector<race::stream::Event>* record_events = nullptr;
 };
 
 struct ExecResult {
@@ -202,6 +200,7 @@ class BasicWorkStealingEngine {
       r.steals += w->steals;
       r.splits += w->splits;
       r.queries += w->queries;
+      r.fast_queries += w->fast_queries;
       r.om_inserts += w->om_inserts;
       r.lock_wait_ns += w->lock_wait_ns;
       spin ^= w->spin_xor;
@@ -210,10 +209,7 @@ class BasicWorkStealingEngine {
     r.checksum = spin + digest;
     r.traces = 4 * r.splits + 1;
     r.race_count = race_count_.load(std::memory_order_relaxed);
-    if (sp_ != nullptr) {
-      r.query_retries = sp_->query_retries();
-      r.fast_queries = sp_->fast_hits();
-    }
+    if (sp_ != nullptr) r.query_retries = sp_->query_retries();
     util::do_not_optimize(r.checksum);
     return r;
   }
@@ -228,8 +224,6 @@ class BasicWorkStealingEngine {
     throw std::logic_error("precedes() requires kHybrid or kNaive");
   }
 
-  const TwoTier* two_tier() const { return sp_.get(); }
-
  private:
   struct WorkerCtx {
     WorkerCtx(unsigned id_, std::uint64_t seed)
@@ -242,6 +236,7 @@ class BasicWorkStealingEngine {
     std::uint64_t steals = 0;
     std::uint64_t splits = 0;
     std::uint64_t queries = 0;
+    std::uint64_t fast_queries = 0;
     std::uint64_t om_inserts = 0;
     std::uint64_t lock_wait_ns = 0;
     std::uint64_t spin_xor = 0;
@@ -287,7 +282,7 @@ class BasicWorkStealingEngine {
   }
 
   bool answer(WorkerCtx& w, tree::ThreadId u, tree::ThreadId v) {
-    if (sp_ != nullptr) return sp_->precedes_onthefly(u, v);
+    if (sp_ != nullptr) return sp_->precedes_onthefly(u, v, w.fast_queries);
     const util::Stopwatch sw;
     std::lock_guard<std::mutex> lock(naive_mu_);
     w.lock_wait_ns += static_cast<std::uint64_t>(sw.elapsed_ns());

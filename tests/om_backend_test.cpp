@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <thread>
@@ -97,7 +98,10 @@ TYPED_TEST(OmBackendTest, LabelsAgreeWithPrecedesAtQuiescence) {
 
 // Disjoint-pivot concurrent stress: T writer threads each chain-insert
 // after their own pivot while a reader thread hammers precedes() over
-// the pivots. Expected final order (pivots seeded serially):
+// the pivots. Halfway through its chain, each writer waits until the
+// reader has finished one whole sweep begun after the writer's first
+// insert, so queries overlap the inserts on every schedule. Expected
+// final order (pivots seeded serially):
 //   base < p0 < (t0's inserts, newest first) < p1 < ... — each writer's
 // items stay strictly inside (p_t, p_{t+1}), so a full postcondition
 // sweep catches any cross-thread label corruption.
@@ -110,24 +114,30 @@ void concurrent_stress(unsigned threads, int per_thread) {
     pivots.push_back(cur = om.insert_after(cur));
   std::vector<std::vector<typename B::Item*>> mine(threads);
   std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> reads{0};
+  std::atomic<std::uint64_t> reads{0};  ///< completed sweeps
   std::thread reader([&] {
-    std::uint64_t n = 0;
     while (!stop.load(std::memory_order_acquire)) {
       for (std::size_t i = 0; i + 1 < pivots.size(); ++i) {
         if (!om.precedes(pivots[i], pivots[i + 1])) std::abort();
         if (!om.precedes(om.base(), pivots[i])) std::abort();
       }
-      ++n;
+      reads.fetch_add(1, std::memory_order_release);
     }
-    reads.fetch_add(n, std::memory_order_relaxed);
   });
   std::vector<std::thread> writers;
   for (unsigned t = 0; t < threads; ++t) {
     writers.emplace_back([&, t] {
       auto* at = pivots[t];
-      for (int i = 0; i < per_thread; ++i)
+      mine[t].push_back(at = om.insert_after(at));
+      // The sweep in flight now may have begun before that insert; the
+      // one after it cannot have.
+      const std::uint64_t r0 = reads.load(std::memory_order_acquire);
+      for (int i = 1; i < per_thread; ++i) {
+        if (i == per_thread / 2)
+          while (reads.load(std::memory_order_acquire) < r0 + 2)
+            std::this_thread::yield();
         mine[t].push_back(at = om.insert_after(at));
+      }
     });
   }
   for (auto& th : writers) th.join();

@@ -159,23 +159,19 @@ TEST(StreamService, SparseLocationsCostOneBlockEach) {
               Table::kBlockBytes);
 }
 
-TEST(StreamService, SerialReferenceModeRecordsTheSameTrace) {
-  const ParseTree t =
-      spr::fj::lower_to_parse_tree(spr::fj::make_reduce_sum(64, 4));
-  std::vector<Event> recorded;
-  spr::hybrid::ExecOptions o;
-  o.mode = spr::hybrid::Mode::kSerialReference;
-  o.detect_races = true;
-  o.record_events = &recorded;
-  const auto res = spr::hybrid::run_parallel(t, o);
-  const std::vector<Event> direct = record_events(t);
-  ASSERT_EQ(recorded.size(), direct.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    EXPECT_EQ(recorded[i].kind, direct[i].kind) << "event " << i;
-    EXPECT_EQ(recorded[i].loc, direct[i].loc) << "event " << i;
+TEST(StreamService, RecordedTraceReplaysToSerialReferenceVerdict) {
+  for (const bool racy : {false, true}) {
+    const ParseTree t = spr::fj::lower_to_parse_tree(
+        spr::fj::make_stencil(32, 4, racy));
+    spr::hybrid::ExecOptions o;
+    o.mode = spr::hybrid::Mode::kSerialReference;
+    o.detect_races = true;
+    const auto res = spr::hybrid::run_parallel(t, o);
+    EXPECT_EQ(res.race_count > 0, racy);
+    const auto rep = replay(record_events(t)).races;
+    EXPECT_EQ(rep.race_count, res.race_count) << "racy=" << racy;
+    EXPECT_EQ(rep.queries, res.queries) << "racy=" << racy;
   }
-  // And the recorded trace replays to the executor's own verdict.
-  EXPECT_EQ(replay(recorded).races.race_count, res.race_count);
 }
 
 TEST(StreamService, BatchBoundaryAndShardCountInvariance) {

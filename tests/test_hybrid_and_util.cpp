@@ -46,8 +46,15 @@ TEST(Hybrid, ModesRunAndCountersHold) {
       EXPECT_EQ(r.om_inserts, 3 * r.splits);
       EXPECT_GE(r.steals, r.splits);
     } else {
+      // No SP maintenance: no trace splits and no global-tier insertions.
+      // kPlain still runs the work-stealing scheduler, so its workers may
+      // steal; only the serial oracle never does.
+      EXPECT_EQ(r.splits, 0u);
       EXPECT_EQ(r.om_inserts, 0u);
-      EXPECT_EQ(r.steals, 0u);
+      EXPECT_EQ(r.traces, 1u);
+      if (mode == Mode::kSerialReference) {
+        EXPECT_EQ(r.steals, 0u);
+      }
     }
     if (mode != Mode::kPlain) {
       EXPECT_GT(r.queries, 0u);
@@ -67,6 +74,29 @@ TEST(Hybrid, SingleWorkerNeverStealsOrTouchesGlobalTier) {
   EXPECT_EQ(r.splits, 0u);
   EXPECT_EQ(r.om_inserts, 0u);
   EXPECT_EQ(r.traces, 1u);
+}
+
+TEST(Hybrid, FastQueriesCountedPerWorker) {
+  const auto t = spr::fj::lower_to_parse_tree(spr::fj::make_fib(14, 4));
+  ExecOptions ref;
+  ref.mode = Mode::kSerialReference;
+  ref.queries_per_leaf = 2;
+  const auto want = spr::hybrid::run_parallel(t, ref);
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    ExecOptions o = ref;
+    o.mode = Mode::kHybrid;
+    o.workers = workers;
+    const auto r = spr::hybrid::run_parallel(t, o);
+    EXPECT_EQ(r.checksum, want.checksum) << "workers=" << workers;
+    EXPECT_EQ(r.queries, want.queries) << "workers=" << workers;
+    // One worker runs one trace, so the SP-bags tier answers every query;
+    // with more, cross-trace queries fall through to the two-tier orders.
+    if (workers == 1) {
+      EXPECT_EQ(r.fast_queries, r.queries);
+    } else {
+      EXPECT_LE(r.fast_queries, r.queries) << "workers=" << workers;
+    }
+  }
 }
 
 TEST(Hybrid, WorkerCountIsValidated) {
