@@ -14,8 +14,10 @@
 // thread, and the maximum label length. The asymptotic *shape* to check:
 // label-based schemes explode on deep-spawn workloads (f large for
 // english-hebrew, d large for offset-span) while SP-bags and SP-order stay
-// flat; SP-order queries beat SP-bags queries.
+// flat; SP-order queries beat SP-bags queries. Each (workload, algorithm)
+// cell is also printed as one `#METRIC {...}` line for scripts/bench.sh.
 
+#include <cstdint>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -76,9 +78,20 @@ std::string label_info(int which, const ParseTree& t, SpMaintenance& algo) {
   return "-";
 }
 
-void bench_workload(const std::string& wl_name, const ParseTree& t) {
+void emit_metric(const std::string& workload, std::uint64_t n,
+                 const std::string& backend,
+                 const spr::benchutil::WalkTimes& wt, double bytes) {
+  std::cout << "#METRIC {\"bench\":\"fig3_serial_comparison\",\"workload\":\""
+            << workload << "\",\"n\":" << n << ",\"backend\":\"" << backend
+            << "\",\"create_ns_per_thread\":" << wt.ns_per_thread()
+            << ",\"query_ns\":" << wt.ns_per_query()
+            << ",\"bytes_per_thread\":" << bytes << "}\n";
+}
+
+void bench_workload(const std::string& workload, const std::string& title,
+                    const ParseTree& t) {
   const auto m = spr::tree::compute_metrics(t);
-  std::cout << "\n== " << wl_name << ": n=" << m.threads
+  std::cout << "\n== " << workload << " — " << title << ": n=" << m.threads
             << " threads, f=" << m.p_nodes << " forks, d=" << m.max_p_depth
             << " nesting ==\n";
   static const AlgoSpec kSpecs[] = {
@@ -86,7 +99,7 @@ void bench_workload(const std::string& wl_name, const ParseTree& t) {
       {"offset-span", "Th(d) / Th(1) / Th(d)"},
       {"sp-bags", "Th(1) / Th(a) / Th(a)"},
       {"sp-order", "Th(1) / Th(1) / Th(1)"},
-      {"sp-order-compact (fn.2)", "Th(1) / Th(1) / Th(1)"},
+      {"sp-order-compact", "Th(1) / Th(1) / Th(1)"},
   };
   spr::util::Table table({"algorithm", "paper (space/create/query)",
                           "create ns/thread", "query ns", "space B/thread",
@@ -104,6 +117,7 @@ void bench_workload(const std::string& wl_name, const ParseTree& t) {
                    spr::util::fmt_double(wt.ns_per_query(), 1),
                    spr::util::fmt_double(space, 1),
                    label_info(which, t, *a2)});
+    emit_metric(workload, m.threads, kSpecs[which].name, wt, space);
   }
   table.print(std::cout);
 }
@@ -114,15 +128,15 @@ int main() {
   std::cout << "Figure 3 — serial SP-maintenance algorithm comparison\n"
             << "(query pattern: 4 race-detector queries per thread against "
                "random prior threads)\n";
-  bench_workload("fib(20) — balanced recursion, d = Theta(lg f)",
+  bench_workload("fib(20)", "balanced recursion, d = Theta(lg f)",
                  spr::fj::lower_to_parse_tree(spr::fj::make_fib(20)));
-  bench_workload("balanced(14) — full binary spawn tree",
+  bench_workload("balanced(14)", "full binary spawn tree",
                  spr::fj::lower_to_parse_tree(spr::fj::make_balanced(14)));
   bench_workload(
-      "loop_spawn(1024) — one sync block, d = f (labels explode)",
+      "loop_spawn(1024)", "one sync block, d = f (labels explode)",
       spr::fj::lower_to_parse_tree(spr::fj::make_loop_spawn(1024)));
   bench_workload(
-      "loop_sync(20000, 8) — spawning loop, sync every 8 (d = 8)",
+      "loop_sync(20000, 8)", "spawning loop, sync every 8 (d = 8)",
       spr::fj::lower_to_parse_tree(spr::fj::make_loop_sync(20000, 8)));
   std::cout
       << "\nShape check (paper): english-hebrew/offset-span space and query "

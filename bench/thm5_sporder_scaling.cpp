@@ -2,7 +2,8 @@
 // time for on-the-fly construction of the SP-order data structure is
 // O(n)." The harness sweeps n over ~two orders of magnitude on three tree
 // shapes and reports ns per leaf, which must stay flat, plus a linear fit
-// of total time vs n (R^2 ~ 1, intercept negligible).
+// of total time vs n (R^2 ~ 1, intercept negligible). Each (shape, n)
+// row is also printed as one `#METRIC {...}` line for scripts/bench.sh.
 
 #include <iostream>
 #include <vector>
@@ -37,7 +38,7 @@ double median_walk_s(const ParseTree& t, int reps) {
 int main() {
   std::cout << "Theorem 5 — SP-order builds in O(n) total time\n";
   for (const char* shape : {"balanced", "fib", "random"}) {
-    spr::util::Table table({"n (threads)", "total", "ns/leaf",
+    spr::util::Table table({"n (threads)", "total", "ns/thread",
                             "OM items moved/insert"});
     std::vector<double> xs, ys;
     for (int scale = 0; scale < 6; ++scale) {
@@ -61,6 +62,10 @@ int main() {
                                ? 0
                                : static_cast<double>(st.items_moved) /
                                      static_cast<double>(st.inserts);
+      std::cout << "#METRIC {\"bench\":\"thm5_sporder_scaling\",\"workload\":\""
+                << shape << "\",\"n\":" << t.leaf_count()
+                << ",\"ns_per_thread\":" << secs * 1e9 / n
+                << ",\"items_moved_per_insert\":" << moved << "}\n";
       xs.push_back(n);
       ys.push_back(secs);
       table.add_row({std::to_string(t.leaf_count()),
@@ -76,7 +81,7 @@ int main() {
               << " ns,  R^2 = " << spr::util::fmt_double(fit.r_squared, 4)
               << "\n";
   }
-  std::cout << "\nShape check (paper): ns/leaf flat across the sweep "
+  std::cout << "\nShape check (paper): ns/thread flat across the sweep "
                "(R^2 ~ 1) on every tree shape.\n";
   return 0;
 }

@@ -16,6 +16,7 @@
 // against this grammar before applying any of it and rejects malformed
 // input with the typed errors below.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -81,6 +82,14 @@ inline Event access_event(std::uint64_t loc, bool write,
   return e;
 }
 
+/// Caps on untrusted input, far above every in-repo client's batch size
+/// and fork nesting: a larger batch is rejected with kBatchTooLarge
+/// (event indices stay within IngestResult's 32 bits), and a fork that
+/// would open more than kMaxOpenForks at once with kForkTooDeep (the
+/// validator's and the SP-order's per-fork stacks stay bounded).
+inline constexpr std::size_t kMaxBatchEvents = std::size_t{1} << 20;
+inline constexpr std::size_t kMaxOpenForks = std::size_t{1} << 20;
+
 struct Batch {
   StreamId stream = kNoStream;
   std::uint64_t epoch = 0;  ///< per-stream batch sequence number, 0-based
@@ -101,6 +110,8 @@ enum class IngestError : std::uint8_t {
   kMisplacedAccess,       ///< access outside a thread
   kMisplacedThreadEnd,    ///< thread end without an open thread
   kTruncated,  ///< finish() with open forks or an open thread
+  kBatchTooLarge,  ///< more than kMaxBatchEvents events in one batch
+  kForkTooDeep,    ///< a fork past kMaxOpenForks open forks
 };
 
 inline const char* to_string(IngestError e) {
@@ -118,6 +129,8 @@ inline const char* to_string(IngestError e) {
     case IngestError::kMisplacedAccess: return "access outside a thread";
     case IngestError::kMisplacedThreadEnd: return "misplaced thread end";
     case IngestError::kTruncated: return "truncated trace at finish";
+    case IngestError::kBatchTooLarge: return "batch exceeds kMaxBatchEvents";
+    case IngestError::kForkTooDeep: return "fork exceeds kMaxOpenForks";
   }
   return "?";
 }

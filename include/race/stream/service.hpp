@@ -26,8 +26,9 @@
 // Validation: this is the untrusted path. Every batch is trial-run
 // against the stream's trace grammar BEFORE any of it is applied, so a
 // rejected batch leaves the stream byte-identical (atomic reject) and the
-// client can repair and resubmit the same epoch. Trusted in-process
-// walks skip this layer entirely (race/detector.hpp).
+// client can repair and resubmit the same epoch. Batch size and open
+// fork depth are capped (kMaxBatchEvents, kMaxOpenForks in event.hpp).
+// Trusted in-process walks skip this layer entirely (race/detector.hpp).
 
 #include <cstdint>
 #include <memory>
@@ -38,20 +39,26 @@
 #include "race/shadow_protocol.hpp"
 #include "race/stream/event.hpp"
 #include "race/stream/shadow_shards.hpp"
-#include "race/stream/sp_stream.hpp"
+#include "sporder/sp_order.hpp"
 #include "util/atomics.hpp"
 
 namespace spr::race::stream {
 
+/// The per-stream SP engine: SP-order runs on the event stream directly,
+/// keeping a stack of open forks instead of a parse tree (Theorems 4-5:
+/// Theta(1) per event and per query).
+using StreamingSpOrder = order::SpOrder;
+
 /// Trace-grammar validator (see event.hpp for the grammar). Copyable so
 /// submit() can trial-run a batch and commit only on success; state is
-/// O(fork nesting depth).
+/// O(fork nesting depth), at most kMaxOpenForks.
 class TraceValidator {
  public:
   IngestError step(const Event& e) {
     switch (e.kind) {
       case EventKind::kFork:
         if (in_thread_ || !expect_subtree_) return IngestError::kMisplacedFork;
+        if (stages_.size() >= kMaxOpenForks) return IngestError::kForkTooDeep;
         stages_.push_back(0);
         return IngestError::kOk;
       case EventKind::kThreadBegin:
@@ -134,6 +141,9 @@ class Service {
     if (st->finished) return {IngestError::kStreamFinished, 0};
     if (b.epoch < st->next_epoch) return {IngestError::kEpochReplayed, 0};
     if (b.epoch > st->next_epoch) return {IngestError::kEpochGap, 0};
+    if (b.events.size() > kMaxBatchEvents)
+      return {IngestError::kBatchTooLarge,
+              static_cast<std::uint32_t>(kMaxBatchEvents)};
     // Trial pass: nothing is applied unless the whole batch is valid.
     TraceValidator trial = st->validator;
     for (std::size_t i = 0; i < b.events.size(); ++i) {

@@ -19,7 +19,6 @@
 // paths still run on tiny CI hosts).
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 
 #include "race/detector.hpp"
@@ -44,21 +43,20 @@ class SerialDriver final : public tree::WalkVisitor {
       : tree_(t),
         opts_(o),
         result_(r),
-        algo_(std::make_unique<order::SpOrder>(t)) {}
+        algo_(t) {}
 
   void enter_internal(const tree::Node& n) override {
-    algo_->enter_internal(n);
+    algo_.enter_internal(n);
   }
   void between_children(const tree::Node& n) override {
-    algo_->between_children(n);
+    algo_.between_children(n);
   }
   void leave_internal(const tree::Node& n) override {
-    algo_->leave_internal(n);
+    algo_.leave_internal(n);
   }
-  void leave_leaf(const tree::Node& n) override { algo_->leave_leaf(n); }
 
   void visit_leaf(const tree::Node& n) override {
-    algo_->visit_leaf(n);
+    algo_.visit_leaf(n);
     spin_xor_ ^= util::spin_work(n.work);
     const tree::ThreadId v = n.thread;
     if (opts_.queries_per_leaf > 0) {
@@ -67,12 +65,12 @@ class SerialDriver final : public tree::WalkVisitor {
       util::Xoshiro256 rng = leaf_query_rng(opts_.seed, v);
       for (std::uint32_t q = 0; q < opts_.queries_per_leaf && v > 0; ++q) {
         const auto u = static_cast<tree::ThreadId>(rng.next_below(v));
-        digest_sum_ += query_digest(u, v, algo_->precedes(u, v));
+        digest_sum_ += query_digest(u, v, algo_.precedes(u, v));
         ++result_.queries;
       }
     }
     if (opts_.detect_races) {
-      const auto serial = race::counted_serial(*algo_, result_.queries);
+      const auto serial = race::counted_serial(algo_, result_.queries);
       for (const tree::Access& a : tree_.accesses(v))
         race::shadow_apply(shadow_.cell(a.loc), a, v, serial,
                            result_.race_count);
@@ -87,7 +85,7 @@ class SerialDriver final : public tree::WalkVisitor {
   ExecResult& result_;
   std::uint64_t spin_xor_ = 0;
   std::uint64_t digest_sum_ = 0;
-  std::unique_ptr<order::SpOrder> algo_;
+  order::SpOrder algo_;
   race::ShadowMemory shadow_;
 };
 

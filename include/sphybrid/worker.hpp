@@ -114,25 +114,37 @@ inline std::uint64_t query_digest(tree::ThreadId u, tree::ThreadId v,
 
 namespace detail {
 
-/// Serial SP-order extended for parallel schedules: a random query target
-/// may not have executed yet, so it is resolved through its deepest
-/// slotted ancestor (whose whole subtree relates uniformly to any thread
-/// outside it — the same argument as TwoTierSp::resolve). The caller
-/// holds the engine's global naive-mode mutex for every method.
-class NaiveSpOrder final : public order::SpOrder {
+/// Serial SP-order extended for parallel schedules. Workers enter nodes
+/// out of English order, so instead of SpOrder's stack of open forks it
+/// keeps one slot per parse-tree node, filled by SpOrder's split rule when
+/// the node's parent is entered. A random query target may not have
+/// executed yet, so it is resolved through its deepest slotted ancestor
+/// (whose whole subtree relates uniformly to any thread outside it — the
+/// same argument as TwoTierSp::resolve). The caller holds the engine's
+/// global naive-mode mutex for every method.
+class NaiveSpOrder final : order::SpOrder {
  public:
-  explicit NaiveSpOrder(const tree::ParseTree& t) : SpOrder(t) {}
+  explicit NaiveSpOrder(const tree::ParseTree& t)
+      : tree_(t), node_slots_(t.node_count()) {
+    if (t.root() != tree::kNoNode)
+      node_slots_[static_cast<std::size_t>(t.root())] = cur_;
+  }
 
+  void enter_internal(const tree::Node& n) override {
+    Slot left = node_slots_[static_cast<std::size_t>(n.id)];
+    node_slots_[static_cast<std::size_t>(n.right)] =
+        split(left, n.kind == tree::NodeKind::kSeries);
+    node_slots_[static_cast<std::size_t>(n.left)] = left;
+  }
+
+  /// Two threads below one unentered ancestor share its slot, which
+  /// orders neither way.
   bool precedes_resolved(tree::ThreadId u, tree::ThreadId v) {
-    if (u == v) return false;
-    const Slot a = resolve(u);
-    const Slot b = resolve(v);
-    if (a.eng == b.eng) return false;  // both below one unentered ancestor
-    return english_.precedes(a.eng, b.eng) && hebrew_.precedes(a.heb, b.heb);
+    return ordered(resolve(u), resolve(v));
   }
 
  private:
-  Slot resolve(tree::ThreadId t) {
+  const Slot& resolve(tree::ThreadId t) const {
     tree::NodeId id = tree_.leaf(t).id;
     for (;;) {
       const Slot& s = node_slots_[static_cast<std::size_t>(id)];
@@ -140,6 +152,9 @@ class NaiveSpOrder final : public order::SpOrder {
       id = tree_.node(id).parent;
     }
   }
+
+  const tree::ParseTree& tree_;
+  std::vector<Slot> node_slots_;  ///< per parse-tree node, set at entry
 };
 
 }  // namespace detail
@@ -264,10 +279,6 @@ class BasicWorkStealingEngine {
   void do_leaf(WorkerCtx& w, const tree::Node& n) {
     const tree::ThreadId v = n.thread;
     if (sp_ != nullptr) sp_->on_leaf(v, w.cur_trace);
-    if (naive_ != nullptr) {
-      std::lock_guard<std::mutex> lock(naive_mu_);
-      naive_->visit_leaf(n);
-    }
     w.spin_xor ^= util::spin_work(n.work);
     if (opts_.queries_per_leaf > 0) {
       util::Xoshiro256 rng = leaf_query_rng(opts_.seed, v);

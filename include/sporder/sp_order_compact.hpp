@@ -7,13 +7,16 @@
 // is the same for the whole subtree). So once a subtree completes, its
 // whole region in both OM lists collapses to the subtree's base items.
 //
-// Implementation: a union-find over parse-tree nodes maps every node of a
-// completed subtree to its completed root; leave_internal(n) erases the
-// two items MINTED at enter_internal(n) (the right child's English item
-// and the new Hebrew item) from the OrderLists — real deletion, via
-// OrderList::erase — and unites both children into n. A query resolves a
-// thread through find(leaf), landing on the deepest still-live slot. Live
-// items are therefore O(spine + executing leaves) instead of O(n).
+// Implementation: SpOrder's split rule, with one stack frame per open
+// fork holding the subtree's base slot, the two items the split minted,
+// and (from the switch on) the thread set of the completed left subtree.
+// At the join the left and right thread sets unite in a union-find over
+// threads, the united set maps to the base slot (the per-thread slot
+// table doubles as the per-set one, read at the set's root), and the
+// minted items are erased from the OrderLists — real deletion, via
+// OrderList::erase. A query resolves a thread through find(), landing on
+// its deepest completed subtree's base slot. Live items are therefore
+// O(spine + executing leaves) instead of O(n).
 //
 // The trade-off: queries are only valid ON-THE-FLY (v currently
 // executing). Post-walk all-pairs queries would compare two collapsed
@@ -21,92 +24,84 @@
 // plain SpOrder keeps that ability.
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
-#include "om/order_list.hpp"
+#include "spbags/dsu.hpp"
 #include "sporder/sp_order.hpp"
 
 namespace spr::order {
 
 class SpOrderCompact final : public SpOrder {
  public:
-  explicit SpOrderCompact(const tree::ParseTree& t) : SpOrder(t) {
-    const std::size_t nn = t.node_count();
-    rep_.resize(nn);
-    for (std::size_t i = 0; i < nn; ++i)
-      rep_[i] = static_cast<tree::NodeId>(i);
-    minted_.resize(nn);
+  SpOrderCompact() = default;
+  explicit SpOrderCompact(const tree::ParseTree& t)
+      : SpOrder(t), sets_(t.leaf_count()) {}
+
+  // Event vocabulary, in English order (hides SpOrder's).
+  void on_fork(bool series) {
+    const Slot base = cur_;
+    const Slot right = split(cur_, series);
+    frames_.push_back({base, {right.eng, series ? right.heb : cur_.heb},
+                       series});
+  }
+  void on_switch() {
+    Frame& f = frames_.back();
+    f.left_set = completed_;
+    cur_ = {f.minted.eng, f.series ? f.minted.heb : f.base.heb};
+  }
+  void on_join() {
+    // Collapse the completed subtree onto its base items; the items its
+    // fork minted die.
+    const Frame f = frames_.back();
+    frames_.pop_back();
+    completed_ = sets_.unite(f.left_set, completed_);
+    thread_slots_[completed_] = f.base;
+    english_.erase(f.minted.eng);
+    hebrew_.erase(f.minted.heb);
+  }
+  void on_thread_begin(tree::ThreadId t) {
+    SpOrder::on_thread_begin(t);
+    while (sets_.size() <= t) sets_.make_set();
+    completed_ = t;  // the thread's subtree is the next to complete
   }
 
   void enter_internal(const tree::Node& n) override {
-    SpOrder::enter_internal(n);
-    // Record the two items this enter minted so leave_internal can
-    // reclaim exactly them (the children's other items are the base pair,
-    // owned by an ancestor).
-    const Slot& right = node_slots_[static_cast<std::size_t>(n.right)];
-    const Slot& left = node_slots_[static_cast<std::size_t>(n.left)];
-    Minted& m = minted_[static_cast<std::size_t>(n.id)];
-    m.eng = right.eng;
-    m.heb = n.kind == tree::NodeKind::kSeries ? right.heb : left.heb;
+    on_fork(n.kind == tree::NodeKind::kSeries);
   }
-
-  void leave_internal(const tree::Node& n) override {
-    // Collapse the completed subtree: both children's regions fold into
-    // n's base items, and the items minted at enter_internal(n) die.
-    const std::size_t id = static_cast<std::size_t>(n.id);
-    rep_[static_cast<std::size_t>(find(n.left))] = n.id;
-    rep_[static_cast<std::size_t>(find(n.right))] = n.id;
-    Minted& m = minted_[id];
-    english_.erase(m.eng);
-    hebrew_.erase(m.heb);
-    m = Minted{};
-  }
+  void between_children(const tree::Node&) override { on_switch(); }
+  void leave_internal(const tree::Node&) override { on_join(); }
+  void visit_leaf(const tree::Node& n) override { on_thread_begin(n.thread); }
 
   /// On-the-fly only: v must be executing (not yet inside any completed
   /// subtree). u may be finished; it resolves to its completed root.
   bool precedes(tree::ThreadId u, tree::ThreadId v) override {
-    if (u == v) return false;
-    const Slot& a = node_slots_[static_cast<std::size_t>(find(leaf_id(u)))];
-    const Slot& b = node_slots_[static_cast<std::size_t>(find(leaf_id(v)))];
-    if (a.eng == b.eng) return false;  // collapsed into one subtree
-    return english_.precedes(a.eng, b.eng) && hebrew_.precedes(a.heb, b.heb);
+    return ordered(thread_slots_[sets_.find(u)], thread_slots_[sets_.find(v)]);
   }
 
   std::size_t memory_bytes() const override {
     // Genuinely live footprint: the OrderLists shrink as subtrees
     // complete (erase() frees nodes and emptied buckets).
-    return sizeof(*this) + english_.memory_bytes() + hebrew_.memory_bytes() +
-           node_slots_.capacity() * sizeof(Slot) +
-           rep_.capacity() * sizeof(tree::NodeId) +
-           minted_.capacity() * sizeof(Minted);
+    return SpOrder::memory_bytes() + sets_.memory_bytes() +
+           frames_.capacity() * sizeof(Frame);
   }
 
-  /// Peak live OM items across both lists (for the reclamation tests).
+  /// Live OM items across both lists (for the reclamation tests).
   std::size_t live_om_items() const {
     return english_.size() + hebrew_.size();
   }
 
  private:
-  struct Minted {
-    om::OrderList::Item* eng = nullptr;
-    om::OrderList::Item* heb = nullptr;
+  struct Frame {
+    Slot base;    ///< the forked subtree's slot, its collapsed slot later
+    Slot minted;  ///< the two items split() minted, erased at the join
+    bool series = false;
+    std::uint32_t left_set = 0;  ///< completed left subtree, from switch on
   };
 
-  tree::NodeId leaf_id(tree::ThreadId t) const { return tree_.leaf(t).id; }
-
-  /// Union-find with path halving; roots are not-yet-completed nodes.
-  tree::NodeId find(tree::NodeId id) {
-    while (rep_[static_cast<std::size_t>(id)] != id) {
-      const tree::NodeId parent = rep_[static_cast<std::size_t>(id)];
-      rep_[static_cast<std::size_t>(id)] =
-          rep_[static_cast<std::size_t>(parent)];
-      id = rep_[static_cast<std::size_t>(id)];
-    }
-    return id;
-  }
-
-  std::vector<tree::NodeId> rep_;
-  std::vector<Minted> minted_;
+  bags::DisjointSets sets_{0};  ///< thread sets of completed subtrees
+  std::vector<Frame> frames_;   ///< open forks
+  tree::ThreadId completed_ = 0;  ///< set of the last completed subtree
 };
 
 }  // namespace spr::order

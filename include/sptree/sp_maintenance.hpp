@@ -110,22 +110,27 @@ class ParseTree {
   NodeId root_ = kNoNode;
 };
 
-/// Interface of a serial on-the-fly SP-maintenance algorithm. The serial
-/// walk (walk.hpp) drives the five callbacks in English order; between any
-/// two callbacks, precedes(u, v) must answer correctly for any completed
-/// thread u and the currently executing thread v (algorithms whose
-/// structure survives the walk, like SP-order and the labeling schemes,
-/// also answer arbitrary completed-pair queries).
-class SpMaintenance {
+/// The serial-walk callbacks (walk.hpp): serial_walk drives them in
+/// English order, bracketing every internal node with enter / between /
+/// leave and every leaf with visit / leave.
+class WalkVisitor {
  public:
-  virtual ~SpMaintenance() = default;
-
+  virtual ~WalkVisitor() = default;
   virtual void enter_internal(const Node&) {}
   virtual void between_children(const Node&) {}
   virtual void leave_internal(const Node&) {}
   virtual void visit_leaf(const Node&) {}
   virtual void leave_leaf(const Node&) {}
+};
 
+/// Interface of a serial on-the-fly SP-maintenance algorithm: a
+/// WalkVisitor that answers queries. Between any two callbacks,
+/// precedes(u, v) must answer correctly for any completed thread u and
+/// the currently executing thread v (algorithms whose structure survives
+/// the walk, like SP-order and the labeling schemes, also answer
+/// arbitrary completed-pair queries).
+class SpMaintenance : public WalkVisitor {
+ public:
   /// Strict precedence: true iff u != v and u serially precedes v.
   virtual bool precedes(ThreadId u, ThreadId v) = 0;
 

@@ -2,24 +2,15 @@
 // Serial (English-order) walk of an SP parse tree: the execution model of
 // a single-processor fork-join run. The walk visits leaves exactly in
 // thread-id order and brackets every internal node with enter / between /
-// leave callbacks, which is all an on-the-fly SP-maintenance algorithm
-// gets to see.
+// leave callbacks (WalkVisitor, sp_maintenance.hpp), which is all an
+// on-the-fly SP-maintenance algorithm gets to see; an SpMaintenance is a
+// WalkVisitor and is walked directly.
 
 #include <vector>
 
 #include "sptree/sp_maintenance.hpp"
 
 namespace spr::tree {
-
-class WalkVisitor {
- public:
-  virtual ~WalkVisitor() = default;
-  virtual void enter_internal(const Node&) {}
-  virtual void between_children(const Node&) {}
-  virtual void leave_internal(const Node&) {}
-  virtual void visit_leaf(const Node&) {}
-  virtual void leave_leaf(const Node&) {}
-};
 
 /// Depth-first left-to-right walk; iterative so deep spawn chains (e.g.
 /// loop_spawn with 10^5 threads) cannot overflow the call stack.
@@ -60,19 +51,5 @@ inline void serial_walk(const ParseTree& t, WalkVisitor& v) {
     }
   }
 }
-
-/// Adapter: drives an SpMaintenance algorithm as a WalkVisitor.
-class MaintenanceDriver final : public WalkVisitor {
- public:
-  explicit MaintenanceDriver(SpMaintenance& algo) : algo_(algo) {}
-  void enter_internal(const Node& n) override { algo_.enter_internal(n); }
-  void between_children(const Node& n) override { algo_.between_children(n); }
-  void leave_internal(const Node& n) override { algo_.leave_internal(n); }
-  void visit_leaf(const Node& n) override { algo_.visit_leaf(n); }
-  void leave_leaf(const Node& n) override { algo_.leave_leaf(n); }
-
- private:
-  SpMaintenance& algo_;
-};
 
 }  // namespace spr::tree

@@ -211,17 +211,8 @@ TEST(Completeness, PhaseBOneLocationAllShapesUpTo7Leaves) {
 
       // One SP build per shape: replay the structural events once.
       stream::StreamingSpOrder sp;
-      for (const auto& e : spr::fj::record_events(t)) {
-        switch (e.kind) {
-          case stream::EventKind::kFork: sp.on_fork(e.series); break;
-          case stream::EventKind::kSwitch: sp.on_switch(); break;
-          case stream::EventKind::kJoin: sp.on_join(); break;
-          case stream::EventKind::kThreadBegin:
-            sp.on_thread_begin(e.thread);
-            break;
-          default: break;
-        }
-      }
+      spr::testutil::replay_events(sp, spr::fj::record_events(t),
+                                   [](ThreadId) {});
       // Sanity: the streaming SP engine agrees with the oracle pairwise.
       for (ThreadId u = 0; u < leaves; ++u)
         for (ThreadId v = u + 1; v < leaves; ++v)

@@ -1,16 +1,17 @@
 // Streaming race-detection service tests (race/stream/):
-//  - verdict parity: the native streaming service (StreamingSpOrder per
-//    stream) must report the same race and query counts as the trusted
-//    in-process detector over every serial backend (SP-order, compact
-//    SP-order, SP-bags) on the whole generator corpus, for both the
-//    determinacy and ALL-SETS shadow protocols;
+//  - verdict parity: the native streaming service (StreamingSpOrder, or
+//    the compact SP-order, per stream) must report the same race and
+//    query counts as the trusted in-process detector over every serial
+//    backend (SP-order, compact SP-order, SP-bags) on the whole generator
+//    corpus, for both the determinacy and ALL-SETS shadow protocols;
 //  - shadow memory: superseded directories are freed, a dense fill
 //    takes one block per 32 locations, and sparse input stays within
 //    one block plus two directory slots per location;
 //  - batch-boundary invariance: replaying one trace at any batch size and
 //    shard count yields identical verdicts;
-//  - malformed-input robustness: truncated, reordered, and duplicate-id
-//    batches are rejected with typed errors, rejects are atomic (the
+//  - malformed-input robustness: truncated, reordered, duplicate-id,
+//    oversized and too-deeply-forked batches are rejected with typed
+//    errors, rejects are atomic (the
 //    stream state is untouched and the same epoch can be repaired and
 //    resubmitted), and randomly mutated traces never crash — the
 //    ASan/UBSan legs of the CI matrix run this file;
@@ -51,11 +52,12 @@ using stream::StreamId;
 
 /// Replays `events` through a fresh native service in `batch_size`-event
 /// batches (0 = whole trace) and returns the stream report.
-template <typename Shadow = stream::DeterminacyShadow>
+template <typename Shadow = stream::DeterminacyShadow,
+          typename Sp = stream::StreamingSpOrder>
 stream::StreamReport replay(const std::vector<Event>& events,
                             std::size_t batch_size = 0,
                             std::uint32_t shards = 16) {
-  stream::Service<stream::StreamingSpOrder, Shadow> svc({shards});
+  stream::Service<Sp, Shadow> svc({shards});
   const StreamId s = svc.open_stream();
   for (const Batch& b : make_batches(events, s, batch_size))
     EXPECT_EQ(svc.submit(b).error, IngestError::kOk);
@@ -88,6 +90,13 @@ TEST(StreamService, CorpusVerdictsMatchInProcessDetector) {
     const auto lock_streamed = replay<stream::AllSetsShadow>(events);
     EXPECT_EQ(streamed.events, events.size()) << prog.name;
     EXPECT_TRUE(streamed.finished) << prog.name;
+    // The compact SP-order runs on the same events and must agree.
+    const auto compact_streamed =
+        replay<stream::DeterminacyShadow, spr::order::SpOrderCompact>(events);
+    EXPECT_EQ(compact_streamed.races.race_count, streamed.races.race_count)
+        << prog.name;
+    EXPECT_EQ(compact_streamed.races.queries, streamed.races.queries)
+        << prog.name;
 
     expect_in_process_matches<spr::order::SpOrder>(
         prog.tree, prog.name + " sp-order", streamed, lock_streamed);
@@ -360,6 +369,80 @@ TEST(StreamService, RejectIsAtomicAndRepairable) {
   const auto rep = svc.report(s);
   EXPECT_EQ(rep.races.race_count, ref.races.race_count);
   EXPECT_EQ(rep.races.queries, ref.races.queries);
+}
+
+TEST(StreamService, RejectsOversizedBatchAndAcceptsItSplit) {
+  // One thread writing one location kMaxBatchEvents times: a valid trace
+  // of kMaxBatchEvents + 2 events, one more than a batch may carry.
+  Batch whole;
+  whole.events.reserve(stream::kMaxBatchEvents + 2);
+  whole.events.push_back(stream::thread_begin_event(0));
+  whole.events.resize(stream::kMaxBatchEvents + 1,
+                      stream::access_event(7, true));
+  whole.events.push_back(stream::thread_end_event());
+
+  stream::IngestService svc;
+  const StreamId s = svc.open_stream();
+  whole.stream = s;
+  const auto r = svc.submit(whole);
+  EXPECT_EQ(r.error, IngestError::kBatchTooLarge);
+  EXPECT_EQ(r.event_index, stream::kMaxBatchEvents);
+  EXPECT_STRNE(stream::to_string(r.error), "?");
+  EXPECT_EQ(svc.report(s).events, 0u);  // nothing applied
+
+  // The same epoch, resent in two batches, is accepted.
+  for (const Batch& b :
+       make_batches(whole.events, s, stream::kMaxBatchEvents))
+    ASSERT_EQ(svc.submit(b).error, IngestError::kOk) << b.epoch;
+  ASSERT_EQ(svc.finish(s).error, IngestError::kOk);
+  const auto rep = svc.report(s);
+  EXPECT_EQ(rep.events, whole.events.size());
+  EXPECT_EQ(rep.batches, 2u);
+  EXPECT_EQ(rep.races.race_count, 0u);
+}
+
+/// An SP engine that keeps nothing, for tests of the service's own
+/// validation where reaching a cap would otherwise build a huge SP-order.
+struct NoSp {
+  void on_fork(bool) {}
+  void on_switch() {}
+  void on_join() {}
+  void on_thread_begin(spr::tree::ThreadId) {}
+  bool precedes(spr::tree::ThreadId, spr::tree::ThreadId) { return true; }
+  std::size_t memory_bytes() const { return 0; }
+};
+
+TEST(StreamService, RejectsForkPastMaxOpenForks) {
+  // The validator accepts exactly kMaxOpenForks open forks...
+  stream::TraceValidator v;
+  for (std::size_t i = 0; i < stream::kMaxOpenForks; ++i)
+    ASSERT_EQ(v.step(stream::fork_event(false)), IngestError::kOk) << i;
+  EXPECT_EQ(v.step(stream::fork_event(true)), IngestError::kForkTooDeep);
+
+  // ...and the service rejects the batch that opens one more, atomically.
+  // A batch holds at most kMaxBatchEvents = kMaxOpenForks events, so the
+  // forks arrive in two batches.
+  stream::Service<NoSp> svc;
+  const StreamId s = svc.open_stream();
+  Batch deep;
+  deep.stream = s;
+  deep.events.assign(stream::kMaxOpenForks, stream::fork_event(false));
+  ASSERT_EQ(svc.submit(deep).error, IngestError::kOk);
+  Batch one_more;
+  one_more.stream = s;
+  one_more.epoch = 1;
+  one_more.events = {stream::thread_begin_event(0), stream::thread_end_event(),
+                     stream::switch_event(), stream::fork_event(true)};
+  const auto r = svc.submit(one_more);
+  EXPECT_EQ(r.error, IngestError::kForkTooDeep);
+  EXPECT_EQ(r.event_index, 3u);
+  EXPECT_STRNE(stream::to_string(r.error), "?");
+  EXPECT_EQ(svc.report(s).events, stream::kMaxOpenForks);
+
+  // The stream is unchanged: the same epoch, repaired, is accepted.
+  one_more.events.back() = stream::thread_begin_event(1);
+  ASSERT_EQ(svc.submit(one_more).error, IngestError::kOk);
+  EXPECT_EQ(svc.report(s).batches, 2u);
 }
 
 TEST(StreamService, FuzzedMutationsNeverCrash) {

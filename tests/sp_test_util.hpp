@@ -1,8 +1,9 @@
 #pragma once
 // Shared test scaffolding: a brute-force LCA oracle for SP relationships,
-// a corpus of small deterministic fork-join programs, and a helper that
-// walks an SP-maintenance algorithm over a tree and checks every thread
-// pair against the oracle.
+// a corpus of small deterministic fork-join programs, two helpers that
+// walk an SP-maintenance algorithm over a tree and check its answers
+// against the oracle (on the fly, and for every pair after the walk),
+// and an event-trace replayer for SP engines driven by events.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 
 #include "fjprog/generators.hpp"
 #include "fjprog/lower.hpp"
+#include "race/stream/event.hpp"
 #include "sptree/sp_maintenance.hpp"
 #include "sptree/walk.hpp"
 
@@ -97,21 +99,94 @@ inline std::vector<NamedProgram> corpus() {
   return out;
 }
 
-/// Drives `algo` over the whole tree, then checks precedes() for every
-/// ordered thread pair against the oracle. Valid for algorithms whose
-/// structure answers arbitrary completed-pair queries after the walk
-/// (SP-order and the labeling schemes — not SP-bags).
-inline void expect_matches_oracle_post_walk(const tree::ParseTree& t,
-                                            tree::SpMaintenance& algo,
-                                            const std::string& name) {
-  tree::MaintenanceDriver driver(algo);
-  serial_walk(t, driver);
+/// Walks `algo` over the tree and, as each thread v begins, checks
+/// precedes(u, v) for every earlier thread u against the oracle: the
+/// race-detector access pattern, valid for every algorithm.
+inline void expect_matches_oracle_on_the_fly(const tree::ParseTree& t,
+                                             tree::SpMaintenance& algo,
+                                             const std::string& name) {
+  class V final : public tree::WalkVisitor {
+   public:
+    V(tree::SpMaintenance& a, const Oracle& o, const std::string& name)
+        : algo_(a), oracle_(o), name_(name) {}
+    void enter_internal(const tree::Node& n) override {
+      algo_.enter_internal(n);
+    }
+    void between_children(const tree::Node& n) override {
+      algo_.between_children(n);
+    }
+    void leave_internal(const tree::Node& n) override {
+      algo_.leave_internal(n);
+    }
+    void leave_leaf(const tree::Node& n) override { algo_.leave_leaf(n); }
+    void visit_leaf(const tree::Node& n) override {
+      algo_.visit_leaf(n);
+      for (tree::ThreadId u = 0; u < n.thread; ++u) {
+        ASSERT_EQ(algo_.precedes(u, n.thread), oracle_.precedes(u, n.thread))
+            << name_ << ": precedes(" << u << ", " << n.thread
+            << ") mismatch";
+      }
+    }
+
+   private:
+    tree::SpMaintenance& algo_;
+    const Oracle& oracle_;
+    const std::string& name_;
+  };
+  const Oracle oracle(t);
+  V v(algo, oracle, name);
+  serial_walk(t, v);
+}
+
+/// Checks precedes() for every ordered thread pair against the oracle.
+/// Valid after the walk for algorithms whose structure answers arbitrary
+/// completed-pair queries (SP-order and the labeling schemes — not
+/// SP-bags or the compact SP-order).
+inline void expect_all_pairs_match_oracle(const tree::ParseTree& t,
+                                          tree::SpMaintenance& algo,
+                                          const std::string& name) {
   const Oracle oracle(t);
   const tree::ThreadId n = t.leaf_count();
   for (tree::ThreadId u = 0; u < n; ++u) {
     for (tree::ThreadId v = 0; v < n; ++v) {
       ASSERT_EQ(algo.precedes(u, v), oracle.precedes(u, v))
           << name << ": precedes(" << u << ", " << v << ") mismatch";
+    }
+  }
+}
+
+/// Drives `algo` over the whole tree, then checks every pair.
+inline void expect_matches_oracle_post_walk(const tree::ParseTree& t,
+                                            tree::SpMaintenance& algo,
+                                            const std::string& name) {
+  serial_walk(t, algo);
+  expect_all_pairs_match_oracle(t, algo, name);
+}
+
+/// Feeds a recorded event trace to `sp` through its event methods, as the
+/// streaming service does, and calls `at_thread(v)` once thread v began.
+template <typename Sp, typename F>
+void replay_events(Sp& sp, const std::vector<race::stream::Event>& events,
+                   F&& at_thread) {
+  using race::stream::EventKind;
+  for (const race::stream::Event& e : events) {
+    switch (e.kind) {
+      case EventKind::kFork:
+        sp.on_fork(e.series);
+        break;
+      case EventKind::kSwitch:
+        sp.on_switch();
+        break;
+      case EventKind::kJoin:
+        sp.on_join();
+        break;
+      case EventKind::kThreadBegin:
+        sp.on_thread_begin(e.thread);
+        at_thread(e.thread);
+        break;
+      case EventKind::kThreadEnd:
+      case EventKind::kAccess:
+        break;
     }
   }
 }

@@ -36,8 +36,7 @@ TEST(OffsetSpan, MatchesOracleOnCorpus) {
 template <typename Algo>
 Algo walked(const spr::tree::ParseTree& t) {
   Algo algo(t);
-  spr::tree::MaintenanceDriver d(algo);
-  serial_walk(t, d);
+  serial_walk(t, algo);
   return algo;
 }
 

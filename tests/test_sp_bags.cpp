@@ -160,8 +160,7 @@ TEST(Dsu, AtomicHalvingMatchesSerialPartition) {
 TEST(SpBags, ExposesInstrumentedDsu) {
   const auto t = spr::fj::lower_to_parse_tree(spr::fj::make_fib(10));
   spr::bags::SpBags bags(t);
-  spr::tree::MaintenanceDriver d(bags);
-  serial_walk(t, d);
+  serial_walk(t, bags);
   EXPECT_GT(bags.dsu().finds(), 0u);
   EXPECT_TRUE(bags.dsu().compression_enabled());
   spr::bags::SpBags plain(t, false);

@@ -1,13 +1,15 @@
 // Property test: SP-order (and its compact variant) must agree with a
 // brute-force LCA oracle on every thread pair of every corpus program —
 // random fork-join programs included, with seeded RNG so failures
-// reproduce. Also pins the English-order walk invariant the whole
-// library relies on.
+// reproduce — both when driven by the serial walk and when fed the
+// recorded event stream, as the streaming service feeds it. Also pins
+// the English-order walk invariant the whole library relies on.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "fjprog/record.hpp"
 #include "sp_test_util.hpp"
 #include "sporder/sp_order.hpp"
 #include "sporder/sp_order_compact.hpp"
@@ -15,7 +17,11 @@
 namespace {
 
 using spr::testutil::corpus;
+using spr::testutil::expect_matches_oracle_on_the_fly;
 using spr::testutil::expect_matches_oracle_post_walk;
+using spr::testutil::Oracle;
+using spr::testutil::replay_events;
+using spr::tree::ThreadId;
 
 TEST(SpOrder, MatchesOracleOnCorpus) {
   for (const auto& p : corpus()) {
@@ -31,37 +37,7 @@ TEST(SpOrderCompact, MatchesOracleOnTheFly) {
   // exactly the ability footnote 2 trades away.
   for (const auto& p : corpus()) {
     spr::order::SpOrderCompact algo(p.tree);
-    const spr::testutil::Oracle oracle(p.tree);
-
-    class V final : public spr::tree::WalkVisitor {
-     public:
-      V(spr::order::SpOrderCompact& a, const spr::testutil::Oracle& o)
-          : algo_(a), oracle_(o) {}
-      void enter_internal(const spr::tree::Node& n) override {
-        algo_.enter_internal(n);
-      }
-      void between_children(const spr::tree::Node& n) override {
-        algo_.between_children(n);
-      }
-      void leave_internal(const spr::tree::Node& n) override {
-        algo_.leave_internal(n);
-      }
-      void leave_leaf(const spr::tree::Node& n) override {
-        algo_.leave_leaf(n);
-      }
-      void visit_leaf(const spr::tree::Node& n) override {
-        algo_.visit_leaf(n);
-        for (spr::tree::ThreadId u = 0; u < n.thread; ++u) {
-          ASSERT_EQ(algo_.precedes(u, n.thread),
-                    oracle_.precedes(u, n.thread));
-        }
-      }
-
-     private:
-      spr::order::SpOrderCompact& algo_;
-      const spr::testutil::Oracle& oracle_;
-    } v(algo, oracle);
-    serial_walk(p.tree, v);
+    expect_matches_oracle_on_the_fly(p.tree, algo, p.name);
   }
 }
 
@@ -73,8 +49,7 @@ TEST(SpOrderCompact, ReclaimsCompletedSubtrees) {
     const auto t =
         spr::fj::lower_to_parse_tree(spr::fj::make_balanced(depth));
     spr::order::SpOrderCompact algo(t);
-    spr::tree::MaintenanceDriver d(algo);
-    serial_walk(t, d);
+    serial_walk(t, algo);
     EXPECT_EQ(algo.live_om_items(), 2u) << "depth " << depth;
     // Real deletion, not tombstones: every minted item was erased and
     // emptied buckets were handed back too.
@@ -94,37 +69,38 @@ TEST(SpOrder, OnTheFlyQueriesDuringWalk) {
   // walk — the race-detector access pattern — not just post-hoc.
   for (const auto& p : corpus()) {
     spr::order::SpOrder algo(p.tree);
-    const spr::testutil::Oracle oracle(p.tree);
+    expect_matches_oracle_on_the_fly(p.tree, algo, p.name);
+  }
+}
 
-    class V final : public spr::tree::WalkVisitor {
-     public:
-      V(spr::order::SpOrder& a, const spr::testutil::Oracle& o)
-          : algo_(a), oracle_(o) {}
-      void enter_internal(const spr::tree::Node& n) override {
-        algo_.enter_internal(n);
-      }
-      void between_children(const spr::tree::Node& n) override {
-        algo_.between_children(n);
-      }
-      void leave_internal(const spr::tree::Node& n) override {
-        algo_.leave_internal(n);
-      }
-      void leave_leaf(const spr::tree::Node& n) override {
-        algo_.leave_leaf(n);
-      }
-      void visit_leaf(const spr::tree::Node& n) override {
-        algo_.visit_leaf(n);
-        for (spr::tree::ThreadId u = 0; u < n.thread; ++u) {
-          ASSERT_EQ(algo_.precedes(u, n.thread),
-                    oracle_.precedes(u, n.thread));
-        }
-      }
+TEST(SpOrder, EventDrivenMatchesOracle) {
+  // The streaming service's path: no parse tree, only the event stream.
+  // On-the-fly queries during the replay, then every pair after it.
+  for (const auto& p : corpus()) {
+    spr::order::SpOrder sp;
+    const Oracle oracle(p.tree);
+    replay_events(sp, spr::fj::record_events(p.tree), [&](ThreadId v) {
+      for (ThreadId u = 0; u < v; ++u)
+        ASSERT_EQ(sp.precedes(u, v), oracle.precedes(u, v))
+            << p.name << ": on the fly (" << u << ", " << v << ")";
+    });
+    ASSERT_FALSE(HasFatalFailure());
+    spr::testutil::expect_all_pairs_match_oracle(p.tree, sp, p.name);
+    ASSERT_FALSE(HasFatalFailure());
+  }
+}
 
-     private:
-      spr::order::SpOrder& algo_;
-      const spr::testutil::Oracle& oracle_;
-    } v(algo, oracle);
-    serial_walk(p.tree, v);
+TEST(SpOrderCompact, EventDrivenMatchesOracleOnTheFly) {
+  for (const auto& p : corpus()) {
+    spr::order::SpOrderCompact sp;
+    const Oracle oracle(p.tree);
+    replay_events(sp, spr::fj::record_events(p.tree), [&](ThreadId v) {
+      for (ThreadId u = 0; u < v; ++u)
+        ASSERT_EQ(sp.precedes(u, v), oracle.precedes(u, v))
+            << p.name << ": on the fly (" << u << ", " << v << ")";
+    });
+    ASSERT_FALSE(HasFatalFailure());
+    EXPECT_EQ(sp.live_om_items(), 2u) << p.name;
   }
 }
 
@@ -164,8 +140,7 @@ TEST(SpOrder, ConstructionCostIsLinearish) {
     const auto t =
         spr::fj::lower_to_parse_tree(spr::fj::make_balanced(depth));
     spr::order::SpOrder algo(t);
-    spr::tree::MaintenanceDriver d(algo);
-    serial_walk(t, d);
+    serial_walk(t, algo);
     const auto& st = algo.english_stats();
     ASSERT_GT(st.inserts, 0u);
     const double moved = static_cast<double>(st.items_moved) /
