@@ -10,10 +10,14 @@
 //   OM ins          global-tier insertions (3 per trace split),
 //   lock wait       time inside locked global sections,
 //   qry retries     failed lock-free seqlock query attempts (bucket B5),
-//   traces          |C| = 4*splits + 1, checked against measured splits.
+//   traces          |C| = 4*splits + 1, checked against measured splits,
+//   traces_minted   trace ids the run actually minted,
+//   moved/split     segment items the steal cuts moved, per split.
 // Each hybrid run's checksum is cross-checked against the serial
 // reference executor, so a scaling number from a wrong answer is
-// impossible. Emits machine-readable `#METRIC {...}` JSON lines for
+// impossible. Each P row runs with the calling thread (and so every
+// worker it starts) pinned to the first P cores it may use, 0..P-1 on a
+// full host. Emits machine-readable `#METRIC {...}` JSON lines for
 // scripts/bench.sh.
 //
 // Hardware honesty: speedup only appears when the host really has >1
@@ -21,9 +25,12 @@
 // expect slowdown there, not speedup; the point of those rows is that
 // steals/splits/OM-inserts stay tiny and the answers stay exact.
 
+#include <sched.h>
+
 #include <iostream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "fjprog/generators.hpp"
 #include "fjprog/lower.hpp"
@@ -37,6 +44,36 @@ namespace {
 using spr::hybrid::ExecOptions;
 using spr::hybrid::ExecResult;
 using spr::hybrid::Mode;
+
+/// The cores this process may run on, read once before any row pins.
+const std::vector<int>& allowed_cores() {
+  static const std::vector<int> cores = [] {
+    std::vector<int> out;
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof set, &set) == 0)
+      for (int c = 0; c < CPU_SETSIZE; ++c)
+        if (CPU_ISSET(c, &set)) out.push_back(c);
+    if (out.empty()) out.push_back(0);
+    return out;
+  }();
+  return cores;
+}
+
+/// Pins the calling thread to the first `p` allowed cores (all of them if
+/// fewer) and returns the mask as text; the engine's workers inherit it.
+std::string pin_first_cores(unsigned p) {
+  const std::vector<int>& cores = allowed_cores();
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  std::string mask;
+  for (std::size_t i = 0; i < cores.size() && i < p; ++i) {
+    CPU_SET(cores[i], &set);
+    mask += (i ? "," : "") + std::to_string(cores[i]);
+  }
+  if (sched_setaffinity(0, sizeof set, &set) != 0) return "unpinned";
+  return mask;
+}
 
 ExecResult best_of(const spr::tree::ParseTree& t, const ExecOptions& opts,
                    int reps) {
@@ -52,11 +89,16 @@ ExecResult best_of(const spr::tree::ParseTree& t, const ExecOptions& opts,
 }
 
 void metric_line(const std::string& bench, const std::string& name,
-                 unsigned workers, const ExecResult& r, bool checksum_ok) {
+                 unsigned workers, const std::string& cores,
+                 const ExecResult& r, bool checksum_ok) {
   std::cout << "#METRIC {\"bench\":\"" << bench << "\",\"tree\":\"" << name
-            << "\",\"workers\":" << workers << ",\"elapsed_s\":" << r.elapsed_s
+            << "\",\"workers\":" << workers << ",\"cores\":\"" << cores
+            << "\",\"elapsed_s\":" << r.elapsed_s
             << ",\"steals\":" << r.steals << ",\"splits\":" << r.splits
-            << ",\"traces\":" << r.traces << ",\"om_inserts\":" << r.om_inserts
+            << ",\"traces\":" << r.traces
+            << ",\"traces_minted\":" << r.traces_minted
+            << ",\"split_items_moved\":" << r.split_items_moved
+            << ",\"om_inserts\":" << r.om_inserts
             << ",\"lock_wait_ns\":" << r.lock_wait_ns
             << ",\"query_retries\":" << r.query_retries
             << ",\"fast_queries\":" << r.fast_queries
@@ -79,10 +121,11 @@ void bench_tree(const std::string& name, const spr::tree::ParseTree& t) {
 
   spr::util::Table table({"P", "plain T_P", "hybrid T_P", "overhead",
                           "speedup(hybrid)", "steals", "P*Tinf",
-                          "traces(=4s+1)", "OM ins(=3s)", "lock wait",
-                          "qry retries", "answers"});
+                          "traces(=4s+1)", "OM ins(=3s)", "moved/split",
+                          "lock wait", "qry retries", "answers"});
   double hybrid_p1 = 0;
   for (const unsigned workers : {1u, 2u, 4u}) {
+    const std::string cores = pin_first_cores(workers);
     ExecOptions plain;
     plain.workers = workers;
     plain.mode = Mode::kPlain;
@@ -107,11 +150,17 @@ void bench_tree(const std::string& name, const spr::tree::ParseTree& t) {
          std::to_string(workers * m.span),
          std::to_string(rh.traces) + (traces_ok ? "" : " VIOLATION"),
          std::to_string(rh.om_inserts) + (inserts_ok ? "" : " VIOLATION"),
+         rh.splits == 0
+             ? std::string("-")
+             : spr::util::fmt_double(static_cast<double>(rh.split_items_moved) /
+                                         static_cast<double>(rh.splits),
+                                     1),
          spr::util::fmt_ns(static_cast<double>(rh.lock_wait_ns)),
          std::to_string(rh.query_retries),
          checksum_ok ? "match" : "MISMATCH"});
-    metric_line("thm10", name, workers, rh, checksum_ok);
+    metric_line("thm10", name, workers, cores, rh, checksum_ok);
   }
+  pin_first_cores(static_cast<unsigned>(allowed_cores().size()));
   table.print(std::cout);
 }
 

@@ -11,12 +11,13 @@
 //     engine, so a correct parallel run reproduces its checksum exactly at
 //     any worker count.
 //
-// Counters are measured (steals, splits, om_inserts, lock_wait_ns); the
-// `traces` field reports Section 5's |C| = 4*splits + 1 accounting, which
-// the tests assert as an expected-value identity against the measured
-// split count. `workers` is validated: 0 throws std::invalid_argument,
-// larger requests clamp to hardware_concurrency (floor 4, so concurrent
-// paths still run on tiny CI hosts).
+// Counters are measured (steals, splits, om_inserts, lock_wait_ns,
+// split_items_moved, traces_minted); the `traces` field reports Section
+// 5's |C| = 4*splits + 1 accounting, which the tests assert as an
+// expected-value identity against the measured split count. `workers` is
+// validated: 0 throws std::invalid_argument, larger requests clamp to
+// hardware_concurrency (floor 4, so concurrent paths still run on tiny CI
+// hosts).
 
 #include <cstdint>
 #include <mutex>

@@ -11,7 +11,9 @@
 // This is correct for ANY contiguous segmentation of the sequence, which
 // is what makes the steal protocol simple to reason about: a steal only
 // has to cut the victim's segment at the stolen subtree's boundary items
-// (split_tail below); every other operation stays segment-local.
+// (split_tail below); every other operation stays segment-local. A cut
+// moves whichever side of the boundary is smaller, so it costs
+// O(min(prefix, suffix)) items, not O(segment).
 //
 // Concurrency contract (matches the scheduler's steal discipline):
 //  - insert_after(x) is called only by the worker that currently owns the
@@ -21,9 +23,13 @@
 //  - split_tail is called only on the steal path, serialized by a global
 //    mutex; it is the ONLY operation that inserts into the global tier.
 //  - less(a, b) is lock-free: a global seqlock version guards segment
-//    reassignment (splits), a per-segment version guards local relabels,
-//    and the global tier has its own seqlock. All protected data is
-//    atomic, so the scheme is exact under ThreadSanitizer.
+//    reassignment and global-item swaps (splits), a per-segment version
+//    guards local relabels, and the global tier has its own seqlock. All
+//    protected data is atomic, so the scheme is exact under
+//    ThreadSanitizer.
+//  - A Segment keeps what queries read (gitem, lver) on one cache line and
+//    what the owner writes on every insert (lock, head, tail, count) on
+//    the next, so queries do not miss on the owner's spinlock traffic.
 
 #include <atomic>
 #include <cstddef>
@@ -52,10 +58,12 @@ class BasicSegmentList {
     Item* next = nullptr;  ///< guarded by the owning segment's spinlock
   };
 
-  struct Segment {
-    GlobalItem* gitem = nullptr;
+  struct alignas(64) Segment {
+    // Read by queries; written only by splits and relabels.
+    spr::atomic<GlobalItem*> gitem{nullptr};  ///< swapped under gver_
     spr::atomic<std::uint64_t> lver{0};  ///< seqlock for local relabels
-    spr::atomic_flag lock;  // C++20: default-initialized clear
+    // Written by the owner on every insert.
+    alignas(64) spr::atomic_flag lock;  // C++20: default-initialized clear
     Item* head = nullptr;
     Item* tail = nullptr;
     std::size_t count = 0;
@@ -70,7 +78,7 @@ class BasicSegmentList {
   };
 
   BasicSegmentList() {
-    Segment* s = new_segment(global_.base());
+    Segment* s = add_segment(std::make_unique<Segment>(), global_.base());
     root_ = alloc_item();
     root_->label.store(kMax / 2, std::memory_order_relaxed);
     root_->seg.store(s, std::memory_order_relaxed);
@@ -120,47 +128,60 @@ class BasicSegmentList {
     }
   }
 
-  /// Steal path only: moves the suffix [first .. tail] of first's segment
-  /// into a fresh segment placed immediately after it in the global tier.
-  /// One global-tier insertion. Serialized by an internal mutex.
-  void split_tail(Item* first) {
+  /// Steal path only: cuts first's segment `src` just before `first` and
+  /// returns the number of items moved. The smaller side moves, found by
+  /// walking both sides in lockstep, so a cut costs O(min(prefix, suffix)):
+  ///  - suffix [first .. tail] no longer than the prefix: it moves into a
+  ///    new segment whose global item is inserted right after src's;
+  ///  - shorter prefix [head .. first->prev]: it moves into a new segment
+  ///    that takes src's global item, and src (keeping the suffix) takes
+  ///    the newly inserted one.
+  /// Either way one global-tier insertion. Labels inside each side already
+  /// increase, so nothing is relabeled. Serialized by an internal mutex.
+  std::size_t split_tail(Item* first) {
+    // Allocated before the lock, so no other thief waits on malloc.
+    auto fresh = std::make_unique<Segment>();
     spr::lock_guard<spr::mutex> guard(split_mu_);
     Segment* src = first->seg.load(std::memory_order_relaxed);
     src->acquire();
-    // Seqlock write section: queries retry while gver_ is odd.
-    gver_.fetch_add(1, std::memory_order_acq_rel);
-    Segment* dst = new_segment(global_.insert_after(src->gitem));
+    std::size_t moved = 0;
+    const Item* fwd = first;
+    const Item* back = first->prev;
+    for (; fwd != nullptr && back != nullptr; ++moved) {
+      fwd = fwd->next;
+      back = back->prev;
+    }
+    const bool move_suffix = fwd == nullptr;
+    GlobalItem* const gold = src->gitem.load(std::memory_order_relaxed);
+    GlobalItem* const gnew = global_.insert_after(gold);
+    Segment* dst = add_segment(std::move(fresh), move_suffix ? gnew : gold);
     // Hold dst's lock across the whole move: the moment an item's seg
     // pointer is republished below, the owner's insert_after may target
-    // dst, and it must block until the suffix is fully linked/relabeled.
+    // dst, and it must block until the moved side is fully linked.
     dst->acquire();
-    // Detach the suffix.
+    // Seqlock write section: queries retry while gver_ is odd.
+    gver_.fetch_add(1, std::memory_order_acq_rel);
     Item* pred = first->prev;
     if (pred != nullptr) pred->next = nullptr;
-    if (src->head == first) src->head = nullptr;
-    src->tail = pred;
-    dst->head = first;
     first->prev = nullptr;
-    std::size_t moved = 0;
-    Item* last = first;
-    for (Item* it = first; it != nullptr; it = it->next) {
-      it->seg.store(dst, std::memory_order_release);
-      last = it;
-      ++moved;
+    if (move_suffix) {
+      dst->head = first;
+      dst->tail = src->tail;
+      src->tail = pred;  // not null: the prefix is at least as long
+    } else {
+      dst->head = pred != nullptr ? src->head : nullptr;
+      dst->tail = pred;
+      src->head = first;
+      src->gitem.store(gnew, std::memory_order_release);
     }
-    dst->tail = last;
+    for (Item* it = dst->head; it != nullptr; it = it->next)
+      it->seg.store(dst, std::memory_order_release);
     dst->count = moved;
     src->count -= moved;
-    // Fresh, evenly spaced labels in the new segment.
-    const std::uint64_t stride = kMax / (moved + 2);
-    std::uint64_t label = stride;
-    for (Item* it = dst->head; it != nullptr; it = it->next) {
-      it->label.store(label, std::memory_order_release);
-      label += stride;
-    }
     gver_.fetch_add(1, std::memory_order_acq_rel);
     dst->release();
     src->release();
+    return moved;
   }
 
   /// Lock-free: true iff a comes strictly before b in the total order.
@@ -186,7 +207,12 @@ class BasicSegmentList {
         }
         return la < lb;
       }
-      const bool r = global_.precedes(sa->gitem, sb->gitem);
+      // Acquire, like the label loads: it publishes a freshly inserted
+      // global item, and a gitem swapped inside a split's write section
+      // makes the gver_ re-check below see that split.
+      const bool r =
+          global_.precedes(sa->gitem.load(std::memory_order_acquire),
+                           sb->gitem.load(std::memory_order_acquire));
       if (gver_.load(std::memory_order_relaxed) != g0) {
         retries_.fetch_add(1, std::memory_order_relaxed);
         continue;
@@ -221,15 +247,11 @@ class BasicSegmentList {
 
   static Item* alloc_item() { return new Item; }
 
-  Segment* new_segment(GlobalItem* gitem) {
-    auto seg = std::make_unique<Segment>();
-    seg->gitem = gitem;
-    Segment* raw = seg.get();
-    {
-      spr::lock_guard<spr::mutex> guard(segments_mu_);
-      segments_.push_back(std::move(seg));
-    }
-    return raw;
+  /// Takes ownership of `seg`. Callers hold split_mu_, or construct.
+  Segment* add_segment(std::unique_ptr<Segment> seg, GlobalItem* gitem) {
+    seg->gitem.store(gitem, std::memory_order_relaxed);
+    segments_.push_back(std::move(seg));
+    return segments_.back().get();
   }
 
   void link_after_locked(Segment* s, Item* x, Item* item) {
@@ -260,8 +282,7 @@ class BasicSegmentList {
   spr::atomic<std::uint64_t> gver_{0};
   mutable spr::atomic<std::uint64_t> retries_{0};
   spr::mutex split_mu_;
-  spr::mutex segments_mu_;
-  std::vector<std::unique_ptr<Segment>> segments_;
+  std::vector<std::unique_ptr<Segment>> segments_;  ///< guarded by split_mu_
   Item* root_ = nullptr;
 };
 

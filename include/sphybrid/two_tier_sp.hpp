@@ -7,7 +7,8 @@
 //    per list, lock-free against queries, no global-tier traffic;
 //  - only a steal cuts segments and inserts into the global tier (any
 //    om::Backend; default ConcurrentOrderList): one English cut and two
-//    Hebrew cuts, i.e. exactly 3 global OM insertions per steal.
+//    Hebrew cuts, i.e. exactly 3 global OM insertions per steal. Each cut
+//    moves the smaller side of its segment (SegmentList::split_tail).
 // Queries answer with Theorem 4's characterization
 //   u < v  iff  Eng(u) < Eng(v) and Heb(u) < Heb(v),
 // which is schedule-independent, so parallel runs agree with the serial
@@ -81,18 +82,22 @@ class BasicTwoTierSp {
   /// continuation was just stolen. Cuts the English order once (at R's
   /// base) and the Hebrew order twice (R's region sits between the
   /// pre-X region and L's region there). Returns the number of
-  /// global-tier insertions performed (always 3).
-  std::uint32_t steal_split(tree::NodeId stolen) {
+  /// global-tier insertions performed (always 3) and adds the segment
+  /// items the three cuts moved to the caller's own `items_moved`.
+  std::uint32_t steal_split(tree::NodeId stolen, std::uint64_t& items_moved) {
     const tree::Node& r = tree_.node(stolen);
     const tree::Node& x = tree_.node(r.parent);
     const std::size_t lid = static_cast<std::size_t>(x.left);
     const std::size_t rid = static_cast<std::size_t>(stolen);
     // Hebrew: [pre | h_X(=R base) | h_L | ...] -> cut the L-suffix first,
     // then R's singleton region, yielding global order pre < R < L.
-    heb_.split_tail(slots_[lid].heb.load(std::memory_order_acquire));
-    heb_.split_tail(slots_[rid].heb.load(std::memory_order_acquire));
+    items_moved +=
+        heb_.split_tail(slots_[lid].heb.load(std::memory_order_acquire));
+    items_moved +=
+        heb_.split_tail(slots_[rid].heb.load(std::memory_order_acquire));
     // English: [pre + L | e_R ...] -> one cut at R's base.
-    eng_.split_tail(slots_[rid].eng.load(std::memory_order_acquire));
+    items_moved +=
+        eng_.split_tail(slots_[rid].eng.load(std::memory_order_acquire));
     return 3;
   }
 

@@ -19,14 +19,16 @@
 //
 // Counters are measured, not modeled: steals/splits come from the deques,
 // om_inserts from the global tier, lock_wait_ns from time spent in locked
-// global sections, fast_queries from the SP-bags tier's answers. Each is
-// a plain field of the counting worker's WorkerCtx, summed by run(); only
-// the lock-free queries' retry count lives in the shared orders, bumped on
-// the retry path alone. `traces` reports the paper's |C| = 4*splits + 1
-// subtrace accounting, driven by the measured split count (the engine
+// global sections, fast_queries from the SP-bags tier's answers,
+// split_items_moved from the segment cuts. Each is a plain field of the
+// counting worker's WorkerCtx, summed by run(); only the lock-free
+// queries' retry count lives in the shared orders, bumped on the retry
+// path alone. `traces` reports the paper's |C| = 4*splits + 1 subtrace
+// accounting, driven by the measured split count (the engine
 // materializes 3 global segment boundaries and at most 2 new execution
 // traces per split; the identity is kept so Section 5's bound is
-// checkable against real runs).
+// checkable against real runs); `traces_minted` is the number of trace
+// ids the run actually minted.
 
 #include <atomic>
 #include <cstdint>
@@ -77,6 +79,8 @@ struct ExecResult {
   std::uint64_t om_inserts = 0;    ///< locked global-tier insertions
   std::uint64_t lock_wait_ns = 0;  ///< time inside locked global sections
   std::uint64_t query_retries = 0;  ///< failed lock-free query attempts
+  std::uint64_t split_items_moved = 0;  ///< segment items moved by cuts
+  std::uint64_t traces_minted = 1;  ///< trace ids minted by the run
   std::uint64_t race_count = 0;
   std::uint64_t checksum = 0;
   bool has_race() const { return race_count > 0; }
@@ -218,11 +222,13 @@ class BasicWorkStealingEngine {
       r.fast_queries += w->fast_queries;
       r.om_inserts += w->om_inserts;
       r.lock_wait_ns += w->lock_wait_ns;
+      r.split_items_moved += w->split_items_moved;
       spin ^= w->spin_xor;
       digest += w->digest_sum;
     }
     r.checksum = spin + digest;
     r.traces = 4 * r.splits + 1;
+    r.traces_minted = next_trace_.load(std::memory_order_relaxed);
     r.race_count = race_count_.load(std::memory_order_relaxed);
     if (sp_ != nullptr) r.query_retries = sp_->query_retries();
     util::do_not_optimize(r.checksum);
@@ -254,6 +260,7 @@ class BasicWorkStealingEngine {
     std::uint64_t fast_queries = 0;
     std::uint64_t om_inserts = 0;
     std::uint64_t lock_wait_ns = 0;
+    std::uint64_t split_items_moved = 0;
     std::uint64_t spin_xor = 0;
     std::uint64_t digest_sum = 0;
   };
@@ -425,7 +432,7 @@ class BasicWorkStealingEngine {
       if (sp_ != nullptr) {
         // The only global-tier work in the whole hybrid scheme.
         const util::Stopwatch sw;
-        w.om_inserts += sp_->steal_split(task);
+        w.om_inserts += sp_->steal_split(task, w.split_items_moved);
         w.lock_wait_ns += static_cast<std::uint64_t>(sw.elapsed_ns());
         ++w.splits;
       }

@@ -229,6 +229,49 @@ TEST(McSuite, SplitTailVsInsertAfter) {
 }
 
 // ---------------------------------------------------------------------
+// Scenario 4b: the other branch of split_tail. The cut leaves the shorter
+// side in front, so the PREFIX moves into a new segment that takes the
+// source's global item, while the source (keeping the suffix) takes the
+// freshly inserted one. An owner insert_after on a prefix item must land
+// in the moved segment, and a reader comparing a prefix item with a
+// suffix item across the gitem swap must retry, never answer from one
+// segment's old global item and the other's new one.
+
+TEST(McSuite, SplitPrefixVsInsertAfter) {
+  mc::Options o = base_options();
+  o.max_dfs_schedules = 3000;  // 3 threads: lean on the random phase more
+  const mc::Stats st = mc::explore(o, [&](mc::Run& r) {
+    SegmentList sl;
+    SegmentList::Item* root = sl.root();
+    SegmentList::Item* i5 = sl.insert_after(root);
+    SegmentList::Item* i4 = sl.insert_after(root);
+    SegmentList::Item* i3 = sl.insert_after(root);
+    SegmentList::Item* i2 = sl.insert_after(root);
+    SegmentList::Item* i1 = sl.insert_after(root);  // root<i1<..<i5
+    SegmentList::Item* nw = nullptr;
+    std::size_t moved = 0;
+    // Prefix [root, i1] (or [root, i1, nw]) is shorter than [i2 .. i5].
+    r.spawn([&] { moved = sl.split_tail(i2); });
+    r.spawn([&] { nw = sl.insert_after(i1); });  // owner, in the prefix
+    r.spawn([&] {
+      const bool a = sl.less(i1, i4);
+      const bool b = sl.less(i5, root);
+      SPR_MC_ASSERT(a && !b, "prefix < suffix must hold through the swap");
+    });
+    r.join_all();
+    SPR_MC_ASSERT(moved == 2 || moved == 3, "the prefix must be the side moved");
+    const SegmentList::Item* order[7] = {root, i1, nw, i2, i3, i4, i5};
+    for (int x = 0; x < 7; ++x)
+      for (int y = 0; y < 7; ++y)
+        SPR_MC_ASSERT(sl.less(order[x], order[y]) == (x < y),
+                      "post-split total order disagrees with the oracle");
+    SPR_MC_ASSERT(sl.segment_count() == 2, "split must create one segment");
+  });
+  ASSERT_FALSE(st.failed) << st.failure_message << "\n" << st.failure_trace;
+  report("split_prefix_vs_insert", st);
+}
+
+// ---------------------------------------------------------------------
 // Scenario 5: AtomicDisjointSets CAS path halving under concurrent
 // finds and an owner-serialized unite. Halving only ever swings parent
 // pointers upward along the walker's own path; the oracle is that every

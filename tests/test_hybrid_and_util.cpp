@@ -1,6 +1,7 @@
 // Tests for the SP-hybrid execution harness (serial reference
-// implementation), the concurrent order-maintenance stub, parse-tree
-// metrics, and the util layer (rng/stats/table formatting).
+// implementation), the two-tier segment list's steal cut, the concurrent
+// order-maintenance stub, parse-tree metrics, and the util layer
+// (rng/stats/table formatting).
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "fjprog/lower.hpp"
 #include "om/concurrent_om.hpp"
 #include "sphybrid/executor.hpp"
+#include "sphybrid/segment_list.hpp"
 #include "sptree/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -62,6 +64,67 @@ TEST(Hybrid, ModesRunAndCountersHold) {
   }
 }
 
+// less() must agree with the mirror's positions on every pair.
+void expect_matches_mirror(const spr::hybrid::SegmentList& sl,
+                           const std::vector<spr::hybrid::SegmentList::Item*>&
+                               mirror) {
+  for (std::size_t x = 0; x < mirror.size(); ++x)
+    for (std::size_t y = 0; y < mirror.size(); ++y)
+      ASSERT_EQ(sl.less(mirror[x], mirror[y]), x < y)
+          << "x=" << x << " y=" << y;
+}
+
+TEST(SegmentList, SplitMovesTheSmallerSide) {
+  using spr::hybrid::SegmentList;
+  SegmentList sl;
+  std::vector<SegmentList::Item*> mirror{sl.root()};
+  for (int i = 0; i < 11; ++i) mirror.push_back(sl.insert_after(mirror.back()));
+  // The cut at position k leaves a prefix of k items and a suffix of the
+  // rest of the segment; only the smaller side may move.
+  const auto cut = [&](std::size_t k, std::size_t prefix, std::size_t suffix) {
+    const std::size_t segments = sl.segment_count();
+    EXPECT_EQ(sl.split_tail(mirror[k]), std::min(prefix, suffix)) << "k=" << k;
+    EXPECT_EQ(sl.segment_count(), segments + 1);
+    expect_matches_mirror(sl, mirror);
+  };
+  cut(2, 2, 10);   // short prefix: [0, 1] moves and takes the global item
+  cut(10, 8, 2);   // short suffix in what is left: [10, 11] moves
+  cut(5, 3, 5);    // short prefix again, inside [2 .. 9]
+  cut(5, 0, 5);    // a cut at a segment's head moves nothing
+  // Both kinds of segment keep taking inserts in order after the cuts.
+  for (const std::size_t at : {std::size_t{0}, std::size_t{4},
+                               std::size_t{7}, std::size_t{11}}) {
+    mirror.insert(mirror.begin() + static_cast<std::ptrdiff_t>(at) + 1,
+                  sl.insert_after(mirror[at]));
+    expect_matches_mirror(sl, mirror);
+  }
+}
+
+TEST(Hybrid, StealCutsMoveFewItems) {
+  // A steal cuts each order where the stolen subtree begins. The victim
+  // keeps inserting on one side of that cut; moving the smaller side
+  // keeps a cut to a handful of items, where moving the whole suffix
+  // moved several hundred per split on this program.
+  const auto t = spr::fj::lower_to_parse_tree(spr::fj::make_fib(20, 64));
+  ExecOptions o;
+  o.mode = Mode::kHybrid;
+  o.workers = 4;
+  o.queries_per_leaf = 2;
+  std::uint64_t splits = 0, moved = 0;
+  for (int rep = 0; rep < 5; ++rep) {
+    const auto r = spr::hybrid::run_parallel(t, o);
+    EXPECT_EQ(r.om_inserts, 3 * r.splits);
+    EXPECT_GE(r.traces_minted, r.steals + 1);  // each steal mints a trace
+    splits += r.splits;
+    moved += r.split_items_moved;
+  }
+  if (splits > 0) {
+    EXPECT_LT(moved, 32 * splits) << "items moved per split: "
+                                  << static_cast<double>(moved) /
+                                         static_cast<double>(splits);
+  }
+}
+
 TEST(Hybrid, SingleWorkerNeverStealsOrTouchesGlobalTier) {
   const auto t = spr::fj::lower_to_parse_tree(spr::fj::make_fib(12, 4));
   ExecOptions o;
@@ -74,6 +137,8 @@ TEST(Hybrid, SingleWorkerNeverStealsOrTouchesGlobalTier) {
   EXPECT_EQ(r.splits, 0u);
   EXPECT_EQ(r.om_inserts, 0u);
   EXPECT_EQ(r.traces, 1u);
+  EXPECT_EQ(r.traces_minted, 1u);
+  EXPECT_EQ(r.split_items_moved, 0u);
 }
 
 TEST(Hybrid, FastQueriesCountedPerWorker) {
